@@ -19,7 +19,7 @@
 //!   `available_parallelism`, as the engine sizes them;
 //! * **peak allocation** — the 8·m·n dense model per materialized
 //!   matrix, a CSR estimate under masks, the structural matchers'
-//!   shared full-pair leaf table plus leaves-under expansions (built
+//!   shared keyed leaf table plus leaves-under expansions (built
 //!   regardless of mask — `structural_scratch` below), and the fused
 //!   pipeline's `threads × shard slice` in-flight model capped by
 //!   `fuse_budget_bytes`.
@@ -196,6 +196,12 @@ pub struct TaskStats {
     pub source_distinct_names: usize,
     /// Distinct element names per side.
     pub target_distinct_names: usize,
+    /// Distinct (element name, datatype) profiles on the source side —
+    /// the row count of `TypeName`'s keyed leaf table.
+    pub source_profiles: usize,
+    /// Distinct (element name, datatype) profiles on the target side —
+    /// the column count of `TypeName`'s keyed leaf table.
+    pub target_profiles: usize,
     /// Distinct (abbreviation-expanded) tokens per side.
     pub source_tokens: usize,
     /// Distinct (abbreviation-expanded) tokens per side.
@@ -249,6 +255,18 @@ impl TaskStats {
             (0..m).map(|i| ctx.source_name(i)),
             (0..n).map(|j| ctx.target_name(j)),
         );
+        let profiles = |schema: &coma_graph::Schema, paths: &coma_graph::PathSet| {
+            paths
+                .iter()
+                .map(|id| {
+                    (
+                        paths.name(schema, id),
+                        schema.node(paths.node_of(id)).datatype,
+                    )
+                })
+                .collect::<std::collections::HashSet<_>>()
+                .len()
+        };
         let leaves = |schema: &coma_graph::Schema, paths: &coma_graph::PathSet| {
             paths
                 .iter()
@@ -282,6 +300,8 @@ impl TaskStats {
             target_leafset_ids: leafset_id_total(ctx.target_paths),
             source_distinct_names: distinct(&mut s_names),
             target_distinct_names: distinct(&mut t_names),
+            source_profiles: profiles(ctx.source, ctx.source_paths),
+            target_profiles: profiles(ctx.target, ctx.target_paths),
             source_tokens: source.distinct_tokens(),
             target_tokens: target.distinct_tokens(),
             token_postings: source.token_posting_entries() + target.token_posting_entries(),
@@ -513,6 +533,8 @@ const RESULT_ENTRY: u64 = 160;
 /// Bytes per `PathId` in a structural matcher's leaves-under expansion
 /// (`u32` id plus growth slack).
 const LEAFSET_ID: u64 = 8;
+/// Bytes per key id of a keyed leaf table (`u32`).
+const KEY_ID: u64 = 4;
 /// Per-node fixed slack.
 const NODE_SLACK: u64 = 1 << 20;
 /// Plan-level fixed slack (thread stacks, harness bookkeeping).
@@ -1271,9 +1293,9 @@ impl<'a> PlanAnalyzer<'a> {
             .iter()
             .filter_map(|c| c.resolved.as_ref())
             .filter(|m| {
-                cache
-                    .cached_matrix(scope, m.name(), matcher_identity(m))
-                    .is_some()
+                let identity = matcher_identity(m.as_ref());
+                cache.cached_matrix(scope, m.name(), identity).is_some()
+                    || cache.cached_keyed(scope, m.name(), identity).is_some()
             })
             .count();
         Some((warm, caps.len()))
@@ -1325,19 +1347,52 @@ impl<'a> PlanAnalyzer<'a> {
     }
 
     /// Shared scratch of the structural matchers (`Children`/`Leaves` —
-    /// anything not cell-local): the step-1 leaf-matcher table is the
-    /// *full* dense pair space (the restriction is deliberately dropped
-    /// for it, and it is memoized and shared by reference, so it counts
-    /// once per stage no matter how many structural matchers run), plus
-    /// the per-node leaves-under expansions. Allocated on every
-    /// execution path — masked or not, sparse or dense — so every peak
-    /// model must carry it; missing it is exactly the under-coverage a
-    /// deep schema exposes, where Σ|leaves_under| grows with depth.
+    /// anything not cell-local): the step-1 leaf table, plus the per-node
+    /// leaves-under expansions. The leaf table is memoized per task and
+    /// shared by reference, so it counts once per distinct leaf matcher
+    /// no matter how many structural matchers read it: a keyed leaf
+    /// matcher (`TypeName`) holds its distinct-profile table plus one key
+    /// per path ([`Matcher::keyed_table_cells`]), any other one its full
+    /// dense pair space. A global matcher without a leaf matcher is
+    /// charged the full pair space. Allocated on every execution path —
+    /// masked or not, sparse or dense — so every peak model must carry
+    /// it; missing it is exactly the under-coverage a deep schema
+    /// exposes, where Σ|leaves_under| grows with depth.
     fn structural_scratch(&self, caps: &[MatcherCaps], stats: &TaskStats) -> u64 {
-        if caps.iter().all(|c| c.resolved.is_some() && c.cell_local()) {
+        let global: Vec<Option<&Arc<dyn Matcher>>> = caps
+            .iter()
+            .filter(|c| !(c.resolved.is_some() && c.cell_local()))
+            .map(|c| c.resolved.as_ref())
+            .collect();
+        if global.is_empty() {
             return 0;
         }
-        let table = stats.cells().saturating_mul(DENSE_CELL);
+        let full_table = stats.cells().saturating_mul(DENSE_CELL);
+        let key_arrays = (stats.rows as u64)
+            .saturating_add(stats.cols as u64)
+            .saturating_mul(KEY_ID);
+        let mut seen: Vec<usize> = Vec::new();
+        let mut table = 0u64;
+        let mut charged_full = false;
+        for matcher in global {
+            match matcher.and_then(|m| m.leaf_matcher()) {
+                Some(leaf) => {
+                    let identity = matcher_identity(leaf.as_ref());
+                    if !seen.contains(&identity) {
+                        seen.push(identity);
+                        let cells = leaf.keyed_table_cells(stats).min(stats.cells());
+                        table = table
+                            .saturating_add(cells.saturating_mul(DENSE_CELL))
+                            .saturating_add(key_arrays);
+                    }
+                }
+                None if !charged_full => {
+                    charged_full = true;
+                    table = table.saturating_add(full_table);
+                }
+                None => {}
+            }
+        }
         let ids = (stats.source_leafset_ids as u64)
             .saturating_add(stats.target_leafset_ids as u64)
             .saturating_mul(LEAFSET_ID);
@@ -1457,7 +1512,7 @@ impl<'a> PlanAnalyzer<'a> {
         threads
             .saturating_mul(inflight)
             .saturating_add(survivors.saturating_mul(SPARSE_ENTRY).saturating_mul(3))
-            // A fused Leaves still builds the shared full-pair leaf
+            // A fused Leaves still builds the shared keyed leaf
             // table inside its workers — the in-flight shard budget
             // does not cover it.
             .saturating_add(self.structural_scratch(&self.resolve_quiet(matchers), stats))
@@ -1574,6 +1629,8 @@ mod tests {
             target_leafset_ids: 2 * cols,
             source_distinct_names: rows,
             target_distinct_names: cols,
+            source_profiles: rows,
+            target_profiles: cols,
             source_tokens: rows,
             target_tokens: cols,
             token_postings: rows + cols,
@@ -1587,6 +1644,29 @@ mod tests {
 
     fn analyzer(library: &MatcherLibrary) -> PlanAnalyzer<'_> {
         PlanAnalyzer::new(library, EngineConfig::default())
+    }
+
+    /// A structural stage is charged its leaf table once: the distinct
+    /// profile table plus key arrays for the keyed `TypeName`, the full
+    /// pair space for a leaf matcher without a keyed form.
+    #[test]
+    fn keyed_leaf_table_is_charged_by_distinct_profiles() {
+        let mut st = stats(1000, 1000);
+        st.source_profiles = 100;
+        st.target_profiles = 50;
+        let plan = MatchPlan::matchers(["Children", "Leaves"]);
+        let standard = MatcherLibrary::standard();
+        let keyed = analyzer(&standard).analyze(&plan, &st).peak_bytes;
+        let mut custom = MatcherLibrary::standard();
+        let name: Arc<dyn Matcher> = Arc::new(crate::matchers::hybrid::NameMatcher::new());
+        custom.register(Arc::new(
+            crate::matchers::structural::ChildrenMatcher::with_leaf_matcher(Arc::clone(&name)),
+        ));
+        custom.register(Arc::new(
+            crate::matchers::structural::LeavesMatcher::with_leaf_matcher(name),
+        ));
+        let full = analyzer(&custom).analyze(&plan, &st).peak_bytes;
+        assert_eq!(full - keyed, DENSE_CELL * (1000 * 1000 - 100 * 50));
     }
 
     #[test]
@@ -1718,7 +1798,11 @@ mod tests {
             .with_severity(Severity::Warn)
             .find(|d| d.code == "W_DENSE_OVER_BUDGET")
             .expect("expected W_DENSE_OVER_BUDGET");
-        assert!(warn.message.contains("fuse_budget_bytes"), "{}", warn.message);
+        assert!(
+            warn.message.contains("fuse_budget_bytes"),
+            "{}",
+            warn.message
+        );
         // Small task: under budget, no warning.
         let small = analyzer(&coma).analyze(&plan, &stats(100, 100));
         assert!(!small

@@ -18,9 +18,9 @@
 //! identical schema, or the server reloading it from the persistent
 //! repository, hits the cache. Tokenizations and name-pair similarity
 //! tables are keyed by the strings themselves (schema-independent);
-//! matcher matrices are keyed by (schema-pair scope, matcher name,
-//! matcher instance identity); vocabulary indexes by (schema
-//! fingerprint, gram length).
+//! matcher matrices and keyed leaf tables ([`KeyedSims`]) are keyed by
+//! (schema-pair scope, matcher name, matcher instance identity);
+//! vocabulary indexes by (schema fingerprint, gram length).
 //!
 //! Validity: a cache is only coherent for a fixed [`Auxiliary`]
 //! configuration and a stable [`MatcherLibrary`] (matrix keys include
@@ -35,7 +35,7 @@
 //! Memory: matrix entries are the big artifacts, so they are bounded by
 //! a schema-pair scope cap (default [`EngineCache::DEFAULT_MAX_PAIRS`]):
 //! registering a scope beyond the cap evicts the least-recently-used
-//! pair's matrices, and any vocabulary index whose schema no longer
+//! pair's matrices and keyed tables, and any vocabulary index whose schema no longer
 //! appears in a live scope. String-level tables are unbounded (they grow
 //! with the distinct-name vocabulary, not with traffic).
 //!
@@ -43,9 +43,11 @@
 //! [`Auxiliary`]: crate::Auxiliary
 //! [`MatcherLibrary`]: crate::MatcherLibrary
 //! [`Matcher::pure`]: crate::Matcher::pure
+//! [`KeyedSims`]: crate::KeyedSims
 
 use super::index::VocabIndex;
 use crate::cube::SimMatrix;
+use crate::keyed::KeyedSims;
 use coma_graph::{PathSet, Schema};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
@@ -60,7 +62,9 @@ pub(crate) type PairSims = Arc<RwLock<HashMap<(String, String), f64>>>;
 /// target fingerprint). Matrix entries are valid only within one scope.
 pub(crate) type PairScope = (u64, u64);
 
-type MatrixSlots = HashMap<(PairScope, String, usize), Arc<OnceLock<Arc<SimMatrix>>>>;
+/// Slots computed at most once, keyed by (pair scope, matcher name,
+/// matcher instance identity).
+type ScopedSlots<T> = HashMap<(PairScope, String, usize), Arc<OnceLock<Arc<T>>>>;
 type IndexSlots = HashMap<(u64, usize), Arc<OnceLock<Arc<VocabIndex>>>>;
 
 /// A content fingerprint of a schema as a match object: FNV-1a over the
@@ -135,6 +139,12 @@ pub struct CacheStats {
     pub sim_tables: u64,
     /// Live shared matrix entries.
     pub matrix_entries: u64,
+    /// Keyed leaf-table lookups answered from the cache.
+    pub keyed_hits: u64,
+    /// Keyed leaf-table lookups that had to compute.
+    pub keyed_misses: u64,
+    /// Live keyed leaf-table entries.
+    pub keyed_entries: u64,
     /// Live vocabulary-index entries.
     pub index_entries: u64,
 }
@@ -160,7 +170,9 @@ pub struct EngineCache {
     /// Engine fingerprint → its name-pair similarity table.
     name_sims: Mutex<HashMap<String, PairSims>>,
     /// (pair scope, matcher name, instance identity) → full matrix.
-    matrices: Mutex<MatrixSlots>,
+    matrices: Mutex<ScopedSlots<SimMatrix>>,
+    /// (pair scope, matcher name, instance identity) → keyed leaf table.
+    keyed: Mutex<ScopedSlots<KeyedSims>>,
     /// (schema fingerprint, gram length) → vocabulary inverted index.
     indexes: Mutex<IndexSlots>,
     /// Pair scopes in least-recently-used order (front = coldest).
@@ -169,6 +181,8 @@ pub struct EngineCache {
     max_pairs: usize,
     matrix_hits: AtomicU64,
     matrix_misses: AtomicU64,
+    keyed_hits: AtomicU64,
+    keyed_misses: AtomicU64,
     index_hits: AtomicU64,
     index_misses: AtomicU64,
 }
@@ -188,11 +202,14 @@ impl EngineCache {
             token_sets: RwLock::default(),
             name_sims: Mutex::default(),
             matrices: Mutex::default(),
+            keyed: Mutex::default(),
             indexes: Mutex::default(),
             scopes: Mutex::default(),
             max_pairs: max_pairs.max(1),
             matrix_hits: AtomicU64::new(0),
             matrix_misses: AtomicU64::new(0),
+            keyed_hits: AtomicU64::new(0),
+            keyed_misses: AtomicU64::new(0),
             index_hits: AtomicU64::new(0),
             index_misses: AtomicU64::new(0),
         }
@@ -208,6 +225,9 @@ impl EngineCache {
             token_entries: self.token_sets.read().len() as u64,
             sim_tables: self.name_sims.lock().len() as u64,
             matrix_entries: self.matrices.lock().len() as u64,
+            keyed_hits: self.keyed_hits.load(Ordering::Relaxed),
+            keyed_misses: self.keyed_misses.load(Ordering::Relaxed),
+            keyed_entries: self.keyed.lock().len() as u64,
             index_entries: self.indexes.lock().len() as u64,
         }
     }
@@ -241,6 +261,7 @@ impl EngineCache {
         self.token_sets.write().clear();
         self.name_sims.lock().clear();
         self.matrices.lock().clear();
+        self.keyed.lock().clear();
         self.indexes.lock().clear();
         self.scopes.lock().clear();
     }
@@ -262,6 +283,9 @@ impl EngineCache {
         }
         let live: Vec<PairScope> = self.scopes.lock().iter().copied().collect();
         self.matrices
+            .lock()
+            .retain(|(scope, _, _), _| !evicted.contains(scope));
+        self.keyed
             .lock()
             .retain(|(scope, _, _), _| !evicted.contains(scope));
         self.indexes.lock().retain(|(fp, _), _| {
@@ -301,22 +325,13 @@ impl EngineCache {
         identity: usize,
         compute: impl FnOnce() -> SimMatrix,
     ) -> Arc<SimMatrix> {
-        let cell = self
-            .matrices
-            .lock()
-            .entry((scope, name.to_string(), identity))
-            .or_default()
-            .clone();
-        let mut computed = false;
-        let out = Arc::clone(cell.get_or_init(|| {
-            computed = true;
-            Arc::new(compute())
-        }));
-        if computed {
-            self.matrix_misses.fetch_add(1, Ordering::Relaxed);
+        let (out, computed) = slot_get_or_init(&self.matrices, (scope, name, identity), compute);
+        let counter = if computed {
+            &self.matrix_misses
         } else {
-            self.matrix_hits.fetch_add(1, Ordering::Relaxed);
-        }
+            &self.matrix_hits
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         out
     }
 
@@ -326,12 +341,33 @@ impl EngineCache {
         name: &str,
         identity: usize,
     ) -> Option<Arc<SimMatrix>> {
-        let slot = self
-            .matrices
-            .lock()
-            .get(&(scope, name.to_string(), identity))
-            .cloned();
-        slot.and_then(|cell| cell.get().map(Arc::clone))
+        slot_get(&self.matrices, (scope, name, identity))
+    }
+
+    pub(crate) fn keyed(
+        &self,
+        scope: PairScope,
+        name: &str,
+        identity: usize,
+        compute: impl FnOnce() -> KeyedSims,
+    ) -> Arc<KeyedSims> {
+        let (out, computed) = slot_get_or_init(&self.keyed, (scope, name, identity), compute);
+        let counter = if computed {
+            &self.keyed_misses
+        } else {
+            &self.keyed_hits
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        out
+    }
+
+    pub(crate) fn cached_keyed(
+        &self,
+        scope: PairScope,
+        name: &str,
+        identity: usize,
+    ) -> Option<Arc<KeyedSims>> {
+        slot_get(&self.keyed, (scope, name, identity))
     }
 
     /// Whether a built vocabulary index is already cached for the given
@@ -382,6 +418,39 @@ impl std::fmt::Debug for EngineCache {
             .field("max_pairs", &self.max_pairs)
             .finish()
     }
+}
+
+/// The slot for `key`, computed via `compute` at most once (concurrent
+/// requests block on the first computation). Also returns whether this
+/// call computed it.
+fn slot_get_or_init<T>(
+    slots: &Mutex<ScopedSlots<T>>,
+    (scope, name, identity): (PairScope, &str, usize),
+    compute: impl FnOnce() -> T,
+) -> (Arc<T>, bool) {
+    let cell = slots
+        .lock()
+        .entry((scope, name.to_string(), identity))
+        .or_default()
+        .clone();
+    let mut computed = false;
+    let out = Arc::clone(cell.get_or_init(|| {
+        computed = true;
+        Arc::new(compute())
+    }));
+    (out, computed)
+}
+
+/// The slot for `key`, if it was already computed.
+fn slot_get<T>(
+    slots: &Mutex<ScopedSlots<T>>,
+    (scope, name, identity): (PairScope, &str, usize),
+) -> Option<Arc<T>> {
+    let slot = slots
+        .lock()
+        .get(&(scope, name.to_string(), identity))
+        .cloned();
+    slot.and_then(|cell| cell.get().map(Arc::clone))
 }
 
 /// A fresh scope no real fingerprint pair will ever equal *within one
@@ -453,6 +522,22 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.matrix_entries, 2);
         assert_eq!(stats.index_entries, 2);
+    }
+
+    #[test]
+    fn keyed_tables_are_counted_and_evicted_with_their_scope() {
+        let cache = EngineCache::with_capacity(1);
+        cache.register_scope((1, 2));
+        let table = || KeyedSims::identity(Arc::new(SimMatrix::new(1, 1)));
+        cache.keyed((1, 2), "TypeName", 7, table);
+        cache.keyed((1, 2), "TypeName", 7, || panic!("must hit"));
+        let stats = cache.stats();
+        assert_eq!((stats.keyed_misses, stats.keyed_hits), (1, 1));
+        assert_eq!(stats.keyed_entries, 1);
+        // Registering a second scope beyond the cap evicts the first.
+        cache.register_scope((3, 4));
+        assert!(cache.cached_keyed((1, 2), "TypeName", 7).is_none());
+        assert_eq!(cache.stats().keyed_entries, 0);
     }
 
     #[test]

@@ -11,10 +11,17 @@
 //!   (its debug fingerprint), so `Name` and `TypeName` share results
 //!   exactly when their engines agree;
 //! * **per-matcher similarity matrices** — keyed by matcher name *and*
-//!   instance identity, so `Children`/`Leaves` reuse the `TypeName` matrix
-//!   the engine already computed (the standard library shares one
-//!   `TypeName` instance for exactly this purpose) without ever conflating
-//!   two differently-configured matchers that happen to share a name;
+//!   instance identity, so a matrix is computed once per task without
+//!   ever conflating two differently-configured matchers that happen to
+//!   share a name;
+//! * **keyed leaf tables** ([`KeyedSims`]) — a leaf matcher's table over
+//!   distinct element profiles plus per-path key ids, keyed like the
+//!   matrices. One table per task serves every reader: the `Children`/
+//!   `Leaves` set similarities and `Children`'s dense start, `TypeName`'s
+//!   masked slice and its unrestricted dense slice (a fan-out). The
+//!   standard library shares one `TypeName` instance for exactly this
+//!   purpose. A leaf matcher without a keyed form is stored with identity
+//!   keys over its memoized dense matrix;
 //! * **vocabulary inverted indexes** — the per-side token/q-gram posting
 //!   structures behind `CandidateIndex` leaves, keyed by (side, gram
 //!   length) so repeated candidate stages build each index once.
@@ -44,19 +51,21 @@
 //!
 //! [`PlanEngine`]: super::PlanEngine
 //! [`NameEngine`]: crate::matchers::name_engine::NameEngine
+//! [`KeyedSims`]: crate::KeyedSims
 
 use super::cache::{private_scope, EngineCache, PairScope, PairSims};
 use super::index::VocabIndex;
 use crate::cube::SimMatrix;
+use crate::keyed::KeyedSims;
 use crate::matchers::name_engine::NameEngine;
 use crate::matchers::Matcher;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-/// A matrix slot computed at most once, keyed by (matcher name, instance
+/// Slots computed at most once, keyed by (matcher name, instance
 /// identity) — the memo-local store for non-`pure` matchers.
-type LocalMatrixSlots = HashMap<(String, usize), Arc<OnceLock<Arc<SimMatrix>>>>;
+type LocalSlots<T> = HashMap<(String, usize), Arc<OnceLock<Arc<T>>>>;
 
 /// Memoized shared work for one match task, shared by all matchers and
 /// stages of a plan execution (attached to the context as
@@ -70,14 +79,18 @@ pub struct MatchMemo {
     scope: PairScope,
     /// Matrices of matchers whose output depends on state beyond the
     /// schemas (reuse matchers): valid for this execution only.
-    local_matrices: Mutex<LocalMatrixSlots>,
+    local_matrices: Mutex<LocalSlots<SimMatrix>>,
+    /// Keyed tables of such matchers (as leaf matchers), likewise.
+    local_keyed: Mutex<LocalSlots<KeyedSims>>,
 }
 
-/// The identity of a matcher instance: the address of its (shared) `Arc`
-/// allocation. Two `Arc` clones of the same matcher share an identity; two
-/// separately constructed matchers never do, even under the same name.
-pub fn matcher_identity(matcher: &Arc<dyn Matcher>) -> usize {
-    Arc::as_ptr(matcher) as *const () as usize
+/// The identity of a matcher instance: its address (for a shared matcher,
+/// the address of its `Arc` allocation's value). Two `Arc` clones of the
+/// same matcher share an identity, and so does a `&self` inside its
+/// methods; two separately constructed matchers never do, even under the
+/// same name.
+pub fn matcher_identity(matcher: &dyn Matcher) -> usize {
+    matcher as *const dyn Matcher as *const () as usize
 }
 
 impl MatchMemo {
@@ -91,6 +104,7 @@ impl MatchMemo {
             cache: Arc::new(EngineCache::new()),
             scope: private_scope(),
             local_matrices: Mutex::default(),
+            local_keyed: Mutex::default(),
         }
     }
 
@@ -105,6 +119,7 @@ impl MatchMemo {
             cache: Arc::clone(cache),
             scope: (source_fp, target_fp),
             local_matrices: Mutex::default(),
+            local_keyed: Mutex::default(),
         }
     }
 
@@ -148,28 +163,37 @@ impl MatchMemo {
         if shareable {
             return self.cache.matrix(self.scope, name, identity, compute);
         }
-        let cell = self
-            .local_matrices
-            .lock()
-            .entry((name.to_string(), identity))
-            .or_default()
-            .clone();
-        Arc::clone(cell.get_or_init(|| Arc::new(compute())))
+        local_get_or_init(&self.local_matrices, name, identity, compute)
     }
 
     /// The cached full matrix of a matcher, if it was already computed
     /// (in this execution, or — for shareable matrices — by any earlier
     /// execution in the same scope).
     pub fn cached_matrix(&self, name: &str, identity: usize) -> Option<Arc<SimMatrix>> {
-        let local = self
-            .local_matrices
-            .lock()
-            .get(&(name.to_string(), identity))
-            .cloned();
-        if let Some(hit) = local.and_then(|cell| cell.get().map(Arc::clone)) {
-            return Some(hit);
+        local_get(&self.local_matrices, name, identity)
+            .or_else(|| self.cache.cached_matrix(self.scope, name, identity))
+    }
+
+    /// The keyed leaf table of a matcher (see [`KeyedSims`]), computed at
+    /// most once per scope — the keyed counterpart of
+    /// [`MatchMemo::matrix`], with the same `shareable` rule.
+    pub fn keyed(
+        &self,
+        name: &str,
+        identity: usize,
+        shareable: bool,
+        compute: impl FnOnce() -> KeyedSims,
+    ) -> Arc<KeyedSims> {
+        if shareable {
+            return self.cache.keyed(self.scope, name, identity, compute);
         }
-        self.cache.cached_matrix(self.scope, name, identity)
+        local_get_or_init(&self.local_keyed, name, identity, compute)
+    }
+
+    /// The cached keyed table of a matcher, if it was already computed.
+    pub fn cached_keyed(&self, name: &str, identity: usize) -> Option<Arc<KeyedSims>> {
+        local_get(&self.local_keyed, name, identity)
+            .or_else(|| self.cache.cached_keyed(self.scope, name, identity))
     }
 
     /// The vocabulary inverted index of one schema side (`target_side`
@@ -189,6 +213,25 @@ impl MatchMemo {
         };
         self.cache.vocab_index(fp, q, compute)
     }
+}
+
+fn local_get_or_init<T>(
+    slots: &Mutex<LocalSlots<T>>,
+    name: &str,
+    identity: usize,
+    compute: impl FnOnce() -> T,
+) -> Arc<T> {
+    let cell = slots
+        .lock()
+        .entry((name.to_string(), identity))
+        .or_default()
+        .clone();
+    Arc::clone(cell.get_or_init(|| Arc::new(compute())))
+}
+
+fn local_get<T>(slots: &Mutex<LocalSlots<T>>, name: &str, identity: usize) -> Option<Arc<T>> {
+    let slot = slots.lock().get(&(name.to_string(), identity)).cloned();
+    slot.and_then(|cell| cell.get().map(Arc::clone))
 }
 
 impl Default for MatchMemo {
@@ -298,6 +341,27 @@ mod tests {
         let memo2 = MatchMemo::scoped(&cache, 100, 200);
         assert!(memo2.cached_matrix("SchemaM", 9).is_none());
         assert!(memo2.cached_matrix("Name", 9).is_some());
+    }
+
+    #[test]
+    fn keyed_tables_key_on_name_and_identity_and_impure_ones_stay_local() {
+        let cache = Arc::new(EngineCache::new());
+        let memo = MatchMemo::scoped(&cache, 1, 2);
+        let table = || KeyedSims::identity(Arc::new(SimMatrix::new(2, 2)));
+        memo.keyed("TypeName", 3, true, table);
+        // Same key: cached, the closure must not run.
+        memo.keyed("TypeName", 3, true, || panic!("must hit"));
+        // Same name, different instance: a distinct entry.
+        assert!(memo.cached_keyed("TypeName", 4).is_none());
+        memo.keyed("SchemaM", 3, false, table);
+        assert!(memo.cached_keyed("SchemaM", 3).is_some());
+        // A second memo over the same scope sees only the shareable one.
+        let memo2 = MatchMemo::scoped(&cache, 1, 2);
+        assert!(memo2.cached_keyed("TypeName", 3).is_some());
+        assert!(memo2.cached_keyed("SchemaM", 3).is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.keyed_misses, stats.keyed_hits), (1, 1));
+        assert_eq!(stats.keyed_entries, 1);
     }
 
     #[test]

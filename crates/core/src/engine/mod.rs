@@ -31,10 +31,11 @@
 //!   report [`StageOutcome::fused`] and skip materializing the inner
 //!   `Matchers` stage;
 //! * **memoized shared work** — a per-execution [`MatchMemo`] caches
-//!   tokenizations, name-pair similarities and per-matcher matrices, so
-//!   hybrids and overlapping sub-plans stop recomputing constituents (with
-//!   the standard library, the `All` strategy computes the `TypeName`
-//!   matrix once instead of three times); memoized matrices are shared by
+//!   tokenizations, name-pair similarities, per-matcher matrices and keyed
+//!   leaf tables, so hybrids and overlapping sub-plans stop recomputing
+//!   constituents (with the standard library, the `All` strategy computes
+//!   `TypeName`'s keyed table once for its three readers); memoized
+//!   matrices are shared by
 //!   `Arc`, so an unrestricted stage's cube slice aliases the memo's
 //!   allocation instead of cloning it;
 //! * **staged execution** — `Seq` restricts a later stage's search space
@@ -126,6 +127,7 @@ use crate::combine::{
 };
 use crate::cube::{SimCube, SimMatrix, SparseBuilder};
 use crate::error::{CoreError, Result};
+use crate::keyed::KeyedSims;
 use crate::matchers::context::MatchContext;
 use crate::matchers::{Matcher, MatcherLibrary};
 use crate::process::{combine_cube_with_feedback, MatchOutcome};
@@ -963,7 +965,7 @@ impl<'l> PlanEngine<'l> {
         mask: Option<&PairMask>,
         budget: usize,
     ) -> (Arc<SimMatrix>, usize) {
-        let identity = matcher_identity(matcher);
+        let identity = matcher_identity(&**matcher);
         let name = matcher.name();
         // Records the shard count of a fresh full compute; stays 1 on a
         // memo hit (the memoizing closure never runs).
@@ -986,15 +988,17 @@ impl<'l> PlanEngine<'l> {
             }
             (Some(mask), memo) => {
                 let sparse_store = self.sparse_storage(mask);
-                // A full matrix computed earlier is cheaper to mask than to
-                // recompute.
-                if let Some(full) = memo.and_then(|m| m.cached_matrix(name, identity)) {
-                    let slice = Arc::new(if sparse_store {
-                        mask.masked_sparse(&full)
-                    } else {
-                        mask.masked_clone(&full)
-                    });
-                    return (slice, 1);
+                // A keyed table or full matrix computed earlier (e.g. the
+                // `TypeName` leaf table a structural matcher of this task
+                // built) is cheaper to mask than to recompute.
+                let cached = memo.and_then(|m| {
+                    m.cached_keyed(name, identity).or_else(|| {
+                        m.cached_matrix(name, identity)
+                            .map(|full| Arc::new(KeyedSims::identity(full)))
+                    })
+                });
+                if let Some(keyed) = cached {
+                    return (Arc::new(keyed.masked(mask, sparse_store)), 1);
                 }
                 // Cell-local matchers always honor the restriction; other
                 // sparse-capable matchers (the structural ones) take the
@@ -2003,28 +2007,29 @@ mod tests {
         }
     }
 
-    /// The shared `TypeName` instance is computed once per execution: the
-    /// `All` strategy's `TypeName`, `Children` and `Leaves` slices reuse
-    /// one memoized matrix (observable through instance identity).
+    /// The shared `TypeName` instance's keyed table is computed once per
+    /// execution: the `All` strategy's `TypeName`, `Children` and
+    /// `Leaves` slices all read one memoized table (observable through
+    /// instance identity).
     #[test]
     fn all_strategy_memoizes_the_shared_leaf_matcher() {
         let c = coma();
         let lib = c.library();
         let type_name = lib.get("TypeName").unwrap();
         let memo = MatchMemo::new();
-        // Prime the memo with a poisoned TypeName matrix; if Children or
-        // Leaves recomputed TypeName instead of hitting the memo, their
-        // slices would not reflect it.
+        // Prime the memo with a poisoned (all-zero) TypeName table; if a
+        // reader recomputed TypeName instead of hitting the memo, its
+        // slice would not reflect it.
         let (s1, s2) = (po1(), po2());
         let p1 = PathSet::new(&s1).unwrap();
         let p2 = PathSet::new(&s2).unwrap();
         let ctx = MatchContext::new(&s1, &s2, &p1, &p2, c.aux()).with_memo(&memo);
-        let poisoned = SimMatrix::new(ctx.rows(), ctx.cols());
-        memo.matrix("TypeName", matcher_identity(&type_name), true, || {
-            poisoned.clone()
+        let poisoned = Arc::new(SimMatrix::new(ctx.rows(), ctx.cols()));
+        memo.keyed("TypeName", matcher_identity(&*type_name), true, || {
+            KeyedSims::identity(Arc::clone(&poisoned))
         });
         let children = lib.get("Children").unwrap().compute(&ctx);
-        // With an all-zero leaf matrix, every source-leaf cell of the
+        // With an all-zero leaf table, every source-leaf cell of the
         // Children matrix must be zero; any other value means the matcher
         // recomputed TypeName instead of hitting the memo.
         for i in 0..ctx.rows() {
@@ -2035,5 +2040,10 @@ mod tests {
                 assert_eq!(children.get(i, j), 0.0, "leaf cell ({i},{j}) recomputed");
             }
         }
+        // Leaves and TypeName's own dense slice read the same table.
+        let leaves = lib.get("Leaves").unwrap().compute(&ctx);
+        assert_eq!(leaves.stored_entries(), ctx.rows() * ctx.cols());
+        assert!(leaves.nonzero().next().is_none(), "Leaves recomputed");
+        assert_eq!(type_name.compute(&ctx), *poisoned, "TypeName recomputed");
     }
 }

@@ -52,6 +52,7 @@ pub mod combine;
 pub mod cube;
 pub mod engine;
 mod error;
+pub mod keyed;
 pub mod matchers;
 pub mod plans;
 pub mod process;
@@ -70,6 +71,7 @@ pub use engine::{
     Severity, StageOutcome, TaskStats, TopKPer, Tri, VocabIndex,
 };
 pub use error::{CoreError, Result};
+pub use keyed::KeyedSims;
 pub use matchers::{Auxiliary, MatchContext, Matcher, MatcherLibrary};
 pub use process::{
     combine_cube_with_feedback, stored_cube, Coma, MatchOutcome, MatchSession, MatchStrategy,

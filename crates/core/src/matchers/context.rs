@@ -1,11 +1,13 @@
 //! Match task context and auxiliary information shared by all matchers.
 
-use crate::engine::{MatchMemo, NameSimCache, PairMask};
+use crate::engine::{matcher_identity, MatchMemo, NameSimCache, PairMask};
+use crate::keyed::KeyedSims;
 use crate::matchers::datatype::TypeCompatTable;
 use crate::matchers::feedback::Feedback;
 use crate::matchers::instances::InstanceStore;
 use crate::matchers::name_engine::NameEngine;
 use crate::matchers::synonym::SynonymTable;
+use crate::matchers::Matcher;
 use coma_graph::{PathId, PathSet, Schema};
 use coma_repo::Repository;
 use coma_strings::AbbreviationTable;
@@ -68,7 +70,7 @@ pub struct MatchContext<'a> {
     /// matcher computes from scratch, as the legacy pipeline always did.
     pub memo: Option<&'a MatchMemo>,
     /// Search-space restriction for the current stage. Cell-local matchers
-    /// (see [`Matcher::cell_local`](crate::Matcher::cell_local)) skip
+    /// (see [`Matcher::cell_local`]) skip
     /// disallowed pairs; `None` allows every pair.
     pub restriction: Option<&'a PairMask>,
 }
@@ -153,6 +155,31 @@ impl<'a> MatchContext<'a> {
         match self.memo {
             Some(memo) => memo.token_set(name, || engine.token_set(name, self.aux)),
             None => Arc::new(engine.token_set(name, self.aux)),
+        }
+    }
+
+    /// `matcher`'s full table in keyed form — its
+    /// [`compute_keyed`](Matcher::compute_keyed) table, or identity keys
+    /// over its full matrix when it has none — memoized per task when a
+    /// memo is attached (keyed by matcher name and instance identity, and
+    /// the full matrix with it), so every reader of one task shares a
+    /// single table. Any restriction is dropped: structural set
+    /// similarities read leaf pairs outside the stage mask.
+    pub fn keyed_table(&self, matcher: &dyn Matcher) -> Arc<KeyedSims> {
+        let full = self.without_restriction();
+        let (name, identity, pure) = (matcher.name(), matcher_identity(matcher), matcher.pure());
+        let full_matrix = || match self.memo {
+            Some(memo) => memo.matrix(name, identity, pure, || matcher.compute(&full)),
+            None => Arc::new(matcher.compute(&full)),
+        };
+        let build = || {
+            matcher
+                .compute_keyed(&full)
+                .unwrap_or_else(|| KeyedSims::identity(full_matrix()))
+        };
+        match self.memo {
+            Some(memo) => memo.keyed(name, identity, pure, build),
+            None => Arc::new(build()),
         }
     }
 

@@ -3,6 +3,8 @@
 //! live in [`super::structural`].)
 
 use crate::cube::{SimMatrix, SparseBuilder};
+use crate::engine::TaskStats;
+use crate::keyed::KeyedSims;
 use crate::matchers::context::MatchContext;
 use crate::matchers::name_engine::NameEngine;
 use crate::matchers::Matcher;
@@ -50,14 +52,68 @@ fn index_tokens(sets: &[Arc<Vec<String>>]) -> (Vec<Vec<usize>>, Vec<&str>) {
     (per_set, names)
 }
 
+/// Token-pair similarities over the distinct tokens of two lists of
+/// token sets, computed once per distinct token pair (schemas draw names
+/// from a bounded vocabulary, so this is small and independent of schema
+/// size), plus each set's token ids. A set pair's steps-2+3 combination
+/// then folds over table lookups
+/// ([`NameEngine::combine_token_sims_by`] — no per-pair allocation for
+/// the default `Both`/`Max1` engine), value-identical to
+/// [`NameEngine::token_set_similarity`].
+struct TokenTable {
+    src_ids: Vec<Vec<usize>>,
+    tgt_ids: Vec<Vec<usize>>,
+    tgt_tokens: usize,
+    sims: Vec<f64>,
+}
+
+impl TokenTable {
+    fn new(
+        ctx: &MatchContext<'_>,
+        engine: &NameEngine,
+        src_sets: &[Arc<Vec<String>>],
+        tgt_sets: &[Arc<Vec<String>>],
+    ) -> TokenTable {
+        let (src_ids, src_tokens) = index_tokens(src_sets);
+        let (tgt_ids, tgt_tokens) = index_tokens(tgt_sets);
+        let tt = tgt_tokens.len();
+        let mut sims = vec![0.0; src_tokens.len() * tt];
+        for (a, &ta) in src_tokens.iter().enumerate() {
+            for (b, &tb) in tgt_tokens.iter().enumerate() {
+                sims[a * tt + b] = engine.token_pair_similarity(ta, tb, ctx.aux);
+            }
+        }
+        TokenTable {
+            src_ids,
+            tgt_ids,
+            tgt_tokens: tt,
+            sims,
+        }
+    }
+
+    /// The combined similarity of source set `a` (tokens `t1`) and target
+    /// set `b` (tokens `t2`).
+    fn similarity(
+        &self,
+        engine: &NameEngine,
+        a: usize,
+        b: usize,
+        t1: &[String],
+        t2: &[String],
+    ) -> f64 {
+        let (ids1, ids2) = (&self.src_ids[a], &self.tgt_ids[b]);
+        engine.combine_token_sims_by(t1, t2, |x, y| {
+            self.sims[ids1[x] * self.tgt_tokens + ids2[y]]
+        })
+    }
+}
+
 /// The row-major `src_names × tgt_names` table of name similarities,
-/// computed in two deduplicated levels: token-pair sims once per distinct
-/// token pair (schemas draw names from a bounded vocabulary, so this is
-/// small and independent of schema size), then one steps-2+3 combination
-/// per distinct name pair. The combination is cheap enough (an
-/// allocation-free `Both`/`Max1` scan over table lookups) that routing it
-/// through the shared name-pair cache would cost more in key allocations
-/// and hashing than it saves — the table is computed directly.
+/// computed in two deduplicated levels: a [`TokenTable`] over the names'
+/// distinct tokens, then one steps-2+3 combination per distinct name
+/// pair. The combination is cheap enough that routing it through the
+/// shared name-pair cache would cost more in key allocations and hashing
+/// than it saves — the table is computed directly.
 fn name_sim_table(
     ctx: &MatchContext<'_>,
     engine: &NameEngine,
@@ -68,35 +124,40 @@ fn name_sim_table(
         src_names.iter().map(|a| ctx.token_set(engine, a)).collect();
     let tgt_tokens: Vec<Arc<Vec<String>>> =
         tgt_names.iter().map(|b| ctx.token_set(engine, b)).collect();
-    let (src_name_toks, src_tok_names) = index_tokens(&src_tokens);
-    let (tgt_name_toks, tgt_tok_names) = index_tokens(&tgt_tokens);
-
-    let tt = tgt_tok_names.len();
-    let mut tok_table = vec![0.0; src_tok_names.len() * tt];
-    for (a, &ta) in src_tok_names.iter().enumerate() {
-        for (b, &tb) in tgt_tok_names.iter().enumerate() {
-            tok_table[a * tt + b] = engine.token_pair_similarity(ta, tb, ctx.aux);
-        }
-    }
-
+    let tokens = TokenTable::new(ctx, engine, &src_tokens, &tgt_tokens);
     let mut table = vec![0.0; src_names.len() * tgt_names.len()];
-    for (a_id, ids1) in src_name_toks.iter().enumerate() {
-        for (b_id, ids2) in tgt_name_toks.iter().enumerate() {
+    for (a, t1) in src_tokens.iter().enumerate() {
+        for (b, t2) in tgt_tokens.iter().enumerate() {
             // Clamped like the restricted path's `SimMatrix::set`, so the
             // sparse==dense bit-identity holds even for exotic engines.
-            let mut sims = SimMatrix::new(ids1.len(), ids2.len());
-            for (i, &ta) in ids1.iter().enumerate() {
-                let row = sims.row_mut(i);
-                for (dst, &tb) in row.iter_mut().zip(ids2) {
-                    *dst = tok_table[ta * tt + tb];
-                }
-            }
-            table[a_id * tgt_names.len() + b_id] = engine
-                .combine_token_sims(&src_tokens[a_id], &tgt_tokens[b_id], &sims)
-                .clamp(0.0, 1.0);
+            table[a * tgt_names.len() + b] =
+                tokens.similarity(engine, a, b, t1, t2).clamp(0.0, 1.0);
         }
     }
     table
+}
+
+/// The token sets of the long (dotted-path) names of source rows `rows`
+/// (`source` true) or of every target column, each paired with its long
+/// name.
+fn long_name_tokens(
+    ctx: &MatchContext<'_>,
+    engine: &NameEngine,
+    source: bool,
+    rows: std::ops::Range<usize>,
+) -> Vec<(String, Arc<Vec<String>>)> {
+    rows.map(|i| {
+        let long = if source {
+            ctx.source_paths
+                .join_names(ctx.source, ctx.source_elem(i), " ")
+        } else {
+            ctx.target_paths
+                .join_names(ctx.target, ctx.target_elem(i), " ")
+        };
+        let tokens = ctx.token_set(engine, &long);
+        (long, tokens)
+    })
+    .collect()
 }
 
 /// The hybrid `Name` matcher: tokenization, abbreviation expansion and a
@@ -203,6 +264,20 @@ impl NamePathMatcher {
     }
 }
 
+impl NamePathMatcher {
+    fn token_table(
+        &self,
+        ctx: &MatchContext<'_>,
+        src: &[(String, Arc<Vec<String>>)],
+        tgt: &[(String, Arc<Vec<String>>)],
+    ) -> TokenTable {
+        let sets = |side: &[(String, Arc<Vec<String>>)]| -> Vec<Arc<Vec<String>>> {
+            side.iter().map(|(_, t)| Arc::clone(t)).collect()
+        };
+        TokenTable::new(ctx, &self.engine, &sets(src), &sets(tgt))
+    }
+}
+
 impl Matcher for NamePathMatcher {
     fn name(&self) -> &str {
         "NamePath"
@@ -212,64 +287,22 @@ impl Matcher for NamePathMatcher {
         let Some(mask) = ctx.restriction else {
             return self.compute_rows(ctx, 0..ctx.rows());
         };
-        // Pre-compute the token set of every path's long name once (shared
-        // through the memo when one is attached).
-        let src_tokens: Vec<(String, Arc<Vec<String>>)> = (0..ctx.rows())
-            .map(|i| {
-                let long = ctx
-                    .source_paths
-                    .join_names(ctx.source, ctx.source_elem(i), " ");
-                let tokens = ctx.token_set(&self.engine, &long);
-                (long, tokens)
-            })
-            .collect();
-        let tgt_tokens: Vec<(String, Arc<Vec<String>>)> = (0..ctx.cols())
-            .map(|j| {
-                let long = ctx
-                    .target_paths
-                    .join_names(ctx.target, ctx.target_elem(j), " ");
-                let tokens = ctx.token_set(&self.engine, &long);
-                (long, tokens)
-            })
-            .collect();
-        let mut cache = ctx.name_sim_cache(&self.engine);
         // Sparse: allowed cells only, straight into CSR storage. Long
         // path names never repeat, but their *tokens* come from a
         // bounded vocabulary — so token-pair similarities are computed
-        // once per distinct token pair (like the dense `Name` path)
-        // and each allowed cell only pays the steps-2+3 combination
-        // over table lookups. Value-identical to
-        // `token_set_similarity` per cell: same token-pair values,
-        // same combination.
-        let src_sets: Vec<Arc<Vec<String>>> =
-            src_tokens.iter().map(|(_, t)| Arc::clone(t)).collect();
-        let tgt_sets: Vec<Arc<Vec<String>>> =
-            tgt_tokens.iter().map(|(_, t)| Arc::clone(t)).collect();
-        let (src_name_toks, src_tok_names) = index_tokens(&src_sets);
-        let (tgt_name_toks, tgt_tok_names) = index_tokens(&tgt_sets);
-        let tt = tgt_tok_names.len();
-        let mut tok_table = vec![0.0; src_tok_names.len() * tt];
-        for (a, &ta) in src_tok_names.iter().enumerate() {
-            for (b, &tb) in tgt_tok_names.iter().enumerate() {
-                tok_table[a * tt + b] = self.engine.token_pair_similarity(ta, tb, ctx.aux);
-            }
-        }
+        // once per distinct token pair (like the dense `Name` path) and each
+        // allowed cell only pays the steps-2+3 combination over table
+        // lookups, through the shared name-pair cache.
+        let src = long_name_tokens(ctx, &self.engine, true, 0..ctx.rows());
+        let tgt = long_name_tokens(ctx, &self.engine, false, 0..ctx.cols());
+        let tokens = self.token_table(ctx, &src, &tgt);
+        let mut cache = ctx.name_sim_cache(&self.engine);
         let mut builder = SparseBuilder::new(ctx.rows(), ctx.cols());
-        for (i, (a, t1)) in src_tokens.iter().enumerate() {
-            let ids1 = &src_name_toks[i];
+        for (i, (a, t1)) in src.iter().enumerate() {
             for j in mask.allowed_in_row(i) {
-                let (b, t2) = &tgt_tokens[j];
-                let ids2 = &tgt_name_toks[j];
-                let sim = cache.get_or_compute(a, b, || {
-                    let mut sims = SimMatrix::new(ids1.len(), ids2.len());
-                    for (x, &ta) in ids1.iter().enumerate() {
-                        let row = sims.row_mut(x);
-                        for (dst, &tb) in row.iter_mut().zip(ids2) {
-                            *dst = tok_table[ta * tt + tb];
-                        }
-                    }
-                    self.engine.combine_token_sims(t1, t2, &sims)
-                });
+                let (b, t2) = &tgt[j];
+                let sim =
+                    cache.get_or_compute(a, b, || tokens.similarity(&self.engine, i, j, t1, t2));
                 builder.push(i, j, sim);
             }
         }
@@ -287,29 +320,12 @@ impl Matcher for NamePathMatcher {
             // for any other caller by slicing the restricted result.
             return self.compute(ctx).row_range(rows);
         }
-        let src_tokens: Vec<(String, Arc<Vec<String>>)> = rows
-            .clone()
-            .map(|i| {
-                let long = ctx
-                    .source_paths
-                    .join_names(ctx.source, ctx.source_elem(i), " ");
-                let tokens = ctx.token_set(&self.engine, &long);
-                (long, tokens)
-            })
-            .collect();
-        let tgt_tokens: Vec<(String, Arc<Vec<String>>)> = (0..ctx.cols())
-            .map(|j| {
-                let long = ctx
-                    .target_paths
-                    .join_names(ctx.target, ctx.target_elem(j), " ");
-                let tokens = ctx.token_set(&self.engine, &long);
-                (long, tokens)
-            })
-            .collect();
+        let src = long_name_tokens(ctx, &self.engine, true, rows);
+        let tgt = long_name_tokens(ctx, &self.engine, false, 0..ctx.cols());
         let mut cache = ctx.name_sim_cache(&self.engine);
-        let mut out = SimMatrix::new(rows.len(), ctx.cols());
-        for (i, (a, t1)) in src_tokens.iter().enumerate() {
-            for (j, (b, t2)) in tgt_tokens.iter().enumerate() {
+        let mut out = SimMatrix::new(src.len(), ctx.cols());
+        for (i, (a, t1)) in src.iter().enumerate() {
+            for (j, (b, t2)) in tgt.iter().enumerate() {
                 let sim = cache
                     .get_or_compute(a, b, || self.engine.token_set_similarity(t1, t2, ctx.aux));
                 out.set(i, j, sim);
@@ -411,21 +427,51 @@ impl Matcher for TypeNameMatcher {
         }
     }
 
-    /// A contiguous block of rows of the dense matrix, deduplicating
-    /// (name, datatype) profiles over only those rows. Each cell depends
-    /// only on its own pair of profiles, so the block is bit-identical to
-    /// the same rows of [`Matcher::compute`].
+    /// A contiguous block of rows of the dense matrix: a fan-out of the
+    /// keyed (name, datatype)-profile table — the task's memoized one
+    /// when a memo is attached (shared with `Children`/`Leaves`), else
+    /// one over only these rows. Each cell depends only on its own pair
+    /// of profiles, so the block is bit-identical to the same rows of
+    /// [`Matcher::compute`].
     fn compute_rows(&self, ctx: &MatchContext<'_>, rows: std::ops::Range<usize>) -> SimMatrix {
         if ctx.restriction.is_some() {
             // The engine only shards unrestricted computes; stay correct
             // for any other caller by slicing the restricted result.
             return self.compute(ctx).row_range(rows);
         }
+        match ctx.memo {
+            Some(_) => ctx.keyed_table(self).fan_out(rows),
+            None => self.profile_table(ctx, rows.clone()).fan_out(0..rows.len()),
+        }
+    }
+
+    /// The keyed form: one weighted similarity per distinct (name,
+    /// datatype) profile pair, never fanned out to the `m × n` cells.
+    fn compute_keyed(&self, ctx: &MatchContext<'_>) -> Option<KeyedSims> {
+        Some(self.profile_table(ctx, 0..ctx.rows()))
+    }
+
+    /// Distinct source profiles × distinct target profiles.
+    fn keyed_table_cells(&self, stats: &TaskStats) -> u64 {
+        (stats.source_profiles as u64).saturating_mul(stats.target_profiles as u64)
+    }
+
+    fn cell_local(&self) -> bool {
+        true
+    }
+
+    fn row_shardable(&self) -> bool {
+        true
+    }
+}
+
+impl TypeNameMatcher {
+    /// The keyed table of source rows `rows` against every target column:
+    /// one weighted similarity per distinct (name, datatype) profile
+    /// pair, keyed by each path's profile.
+    fn profile_table(&self, ctx: &MatchContext<'_>, rows: std::ops::Range<usize>) -> KeyedSims {
         let total = self.name_weight + self.type_weight;
-        let mut out = SimMatrix::new(rows.len(), ctx.cols());
-        // Dense: one weighted similarity per distinct (name, datatype)
-        // profile pair, fanned out to every cell that shares it.
-        let (src_ids, src_profiles) = distinct_keys(rows.clone().map(|i| {
+        let (src_ids, src_profiles) = distinct_keys(rows.map(|i| {
             let datatype = ctx
                 .source
                 .node(ctx.source_paths.node_of(ctx.source_elem(i)))
@@ -444,32 +490,25 @@ impl Matcher for TypeNameMatcher {
         let (src_name_ids, src_names) = distinct_keys(src_profiles.iter().map(|&(name, _)| name));
         let (tgt_name_ids, tgt_names) = distinct_keys(tgt_profiles.iter().map(|&(name, _)| name));
         let names = name_sim_table(ctx, &self.engine, &src_names, &tgt_names);
-        let mut table = vec![0.0; src_profiles.len() * tgt_profiles.len()];
+        let mut table = SimMatrix::new(src_profiles.len(), tgt_profiles.len());
         for (a_id, &(_, a_type)) in src_profiles.iter().enumerate() {
-            for (b_id, &(_, b_type)) in tgt_profiles.iter().enumerate() {
-                let name_sim = names[src_name_ids[a_id] * tgt_names.len() + tgt_name_ids[b_id]];
+            let name_row = &names[src_name_ids[a_id] * tgt_names.len()..];
+            let row = table.row_mut(a_id);
+            for ((dst, &(_, b_type)), &b_name) in
+                row.iter_mut().zip(&tgt_profiles).zip(&tgt_name_ids)
+            {
                 let type_sim = ctx.aux.type_compat.similarity_opt(a_type, b_type);
-                table[a_id * tgt_profiles.len() + b_id] =
-                    ((self.name_weight * name_sim + self.type_weight * type_sim) / total)
-                        .clamp(0.0, 1.0);
+                *dst = ((self.name_weight * name_row[b_name] + self.type_weight * type_sim)
+                    / total)
+                    .clamp(0.0, 1.0);
             }
         }
-        for (i, &a_id) in src_ids.iter().enumerate() {
-            let base = a_id * tgt_profiles.len();
-            let row = out.row_mut(i);
-            for (dst, &b_id) in row.iter_mut().zip(&tgt_ids) {
-                *dst = table[base + b_id];
-            }
-        }
-        out
-    }
-
-    fn cell_local(&self) -> bool {
-        true
-    }
-
-    fn row_shardable(&self) -> bool {
-        true
+        let keys = |ids: Vec<usize>| -> Vec<u32> {
+            ids.into_iter()
+                .map(|k| u32::try_from(k).expect("more than u32::MAX profiles"))
+                .collect()
+        };
+        KeyedSims::new(keys(src_ids), keys(tgt_ids), table)
     }
 }
 
@@ -640,6 +679,32 @@ mod tests {
         let same_type = sim_of(&tn, &s1, &s2, &aux, "S1.a.amount", "S2.b.amount");
         let diff_type = sim_of(&tn, &s1, &s2, &aux, "S1.a.amount", "S2.b.amounts");
         assert!(same_type > diff_type, "{same_type} vs {diff_type}");
+    }
+
+    /// `TypeName`'s keyed form is the distinct (name, datatype) profile
+    /// table the analyzer sizes from `TaskStats`, and fans out to exactly
+    /// the dense matrix.
+    #[test]
+    fn typename_keyed_table_is_the_distinct_profile_table() {
+        let (s1, s2, aux) = (po1(), po2(), aux());
+        let p1 = PathSet::new(&s1).unwrap();
+        let p2 = PathSet::new(&s2).unwrap();
+        let ctx = MatchContext::new(&s1, &s2, &p1, &p2, &aux);
+        let tn = TypeNameMatcher::new();
+        let keyed = tn.compute_keyed(&ctx).unwrap();
+        let stats = TaskStats::gather(&ctx);
+        let table = keyed.table();
+        assert_eq!(
+            (table.rows(), table.cols()),
+            (stats.source_profiles, stats.target_profiles)
+        );
+        assert_eq!(
+            tn.keyed_table_cells(&stats),
+            (table.rows() * table.cols()) as u64
+        );
+        // PO2 repeats Street/City/Zip under DeliverTo and BillTo.
+        assert!(stats.target_profiles < ctx.cols());
+        assert_eq!(keyed.fan_out(0..ctx.rows()), tn.compute(&ctx));
     }
 
     #[test]

@@ -13,6 +13,8 @@ pub mod structural;
 pub mod synonym;
 
 use crate::cube::SimMatrix;
+use crate::engine::TaskStats;
+use crate::keyed::KeyedSims;
 pub use context::{Auxiliary, MatchContext};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -97,6 +99,35 @@ pub trait Matcher: Send + Sync {
     fn sparse_capable(&self) -> bool {
         false
     }
+
+    /// This matcher's full (unrestricted) matrix in **keyed form**: a
+    /// table over distinct element profiles plus one key per row and
+    /// column (see [`KeyedSims`]) — what the structural matchers read as
+    /// their leaf table, and what a task memoizes once for every reader
+    /// ([`MatchContext::keyed_table`]). Any restriction on `ctx` is
+    /// ignored. `None` (the default) means the matcher has no coarser
+    /// profile than the path pair; readers then key its dense matrix by
+    /// identity.
+    fn compute_keyed(&self, ctx: &MatchContext<'_>) -> Option<KeyedSims> {
+        let _ = ctx;
+        None
+    }
+
+    /// An upper bound on the table cells of
+    /// [`compute_keyed`](Matcher::compute_keyed)'s result for a task with
+    /// statistics `stats` — the static plan analyzer's view of the keyed
+    /// form. The default is the full pair space `m · n`, right for
+    /// matchers without a keyed form (identity keys).
+    fn keyed_table_cells(&self, stats: &TaskStats) -> u64 {
+        stats.cells()
+    }
+
+    /// The leaf matcher whose table a structural matcher reads (`None`
+    /// for every other matcher). The static plan analyzer charges that
+    /// table once per distinct leaf matcher of a stage.
+    fn leaf_matcher(&self) -> Option<&Arc<dyn Matcher>> {
+        None
+    }
 }
 
 /// The extensible matcher library: "New match algorithms can be included
@@ -132,8 +163,8 @@ impl MatcherLibrary {
         lib.register(Arc::new(simple::UserFeedbackMatcher));
         // Hybrid matchers. `Children` and `Leaves` share the registered
         // `TypeName` instance as their leaf matcher so a plan execution
-        // computes its matrix once for all three (the engine memoizes by
-        // instance identity).
+        // computes its keyed table once for all three (the engine memoizes
+        // by instance identity).
         let type_name: Arc<dyn Matcher> = Arc::new(hybrid::TypeNameMatcher::new());
         lib.register(Arc::new(hybrid::NameMatcher::new()));
         lib.register(Arc::new(hybrid::NamePathMatcher::new()));

@@ -139,47 +139,51 @@ impl NameEngine {
     /// (see the `Name`/`TypeName` dense paths) skip recomputing token
     /// sims per name pair.
     pub fn combine_token_sims(&self, t1: &[String], t2: &[String], sims: &SimMatrix) -> f64 {
-        if t1.is_empty() && t2.is_empty() {
-            return 1.0;
-        }
-        if t1.is_empty() || t2.is_empty() {
-            return 0.0;
-        }
-        if t1 == t2 {
-            return 1.0;
-        }
-        // The paper-default `Both`/`Max1` combination runs once per
-        // distinct name pair of a match task — take the shared
-        // allocation-free pipeline (value-identical to select + compute;
-        // cells already carry the clamped token-pair values).
-        if self.direction == Direction::Both
-            && self.selection == Selection::max_n(1)
-            && !sims.is_sparse()
-            && (sims.rows(), sims.cols()) == (t1.len(), t2.len())
-        {
+        if !sims.is_sparse() && (sims.rows(), sims.cols()) == (t1.len(), t2.len()) {
             let values = sims.values();
             let n = t2.len();
-            return crate::combine::max1_both_combined(
-                t1.len(),
-                n,
-                |i, j| values[i * n + j],
-                self.combined,
-            );
+            return self.combine_token_sims_by(t1, t2, |i, j| values[i * n + j]);
+        }
+        if let Some(trivial) = trivial_combination(t1, t2) {
+            return trivial;
         }
         let candidates = DirectedCandidates::select(sims, self.direction, &self.selection);
         self.combined.compute(&candidates, t1.len(), t2.len())
     }
 
+    /// Steps 2+3 over a token-pair similarity lookup (`lookup(i, j)` =
+    /// [`NameEngine::token_pair_similarity`] of `t1[i]`, `t2[j]`), e.g.
+    /// reads of a distinct-token table. The paper-default `Both`/`Max1`
+    /// combination runs once per distinct name pair of a match task, so
+    /// it folds the lookups through the shared allocation-free pipeline
+    /// (value-identical to select + compute); other configurations fill
+    /// a token matrix and select from it.
+    pub fn combine_token_sims_by(
+        &self,
+        t1: &[String],
+        t2: &[String],
+        lookup: impl Fn(usize, usize) -> f64,
+    ) -> f64 {
+        if let Some(trivial) = trivial_combination(t1, t2) {
+            return trivial;
+        }
+        if self.direction == Direction::Both && self.selection == Selection::max_n(1) {
+            return crate::combine::max1_both_combined(t1.len(), t2.len(), lookup, self.combined);
+        }
+        let mut sims = SimMatrix::new(t1.len(), t2.len());
+        for i in 0..t1.len() {
+            for (j, dst) in sims.row_mut(i).iter_mut().enumerate() {
+                *dst = lookup(i, j);
+            }
+        }
+        let candidates = DirectedCandidates::select(&sims, self.direction, &self.selection);
+        self.combined.compute(&candidates, t1.len(), t2.len())
+    }
+
     /// Combined similarity of two pre-computed token sets.
     pub fn token_set_similarity(&self, t1: &[String], t2: &[String], aux: &Auxiliary) -> f64 {
-        if t1.is_empty() && t2.is_empty() {
-            return 1.0;
-        }
-        if t1.is_empty() || t2.is_empty() {
-            return 0.0;
-        }
-        if t1 == t2 {
-            return 1.0;
+        if let Some(trivial) = trivial_combination(t1, t2) {
+            return trivial;
         }
         let mut matrix = SimMatrix::new(t1.len(), t2.len());
         for (i, a) in t1.iter().enumerate() {
@@ -196,6 +200,18 @@ impl NameEngine {
         let t2 = self.token_set(b, aux);
         self.token_set_similarity(&t1, &t2, aux)
     }
+}
+
+/// The early outs of every token-set combination: two empty sets match
+/// fully, one empty set not at all, and identical sets fully.
+fn trivial_combination(t1: &[String], t2: &[String]) -> Option<f64> {
+    if t1.is_empty() && t2.is_empty() {
+        return Some(1.0);
+    }
+    if t1.is_empty() || t2.is_empty() {
+        return Some(0.0);
+    }
+    (t1 == t2).then_some(1.0)
 }
 
 impl Default for NameEngine {

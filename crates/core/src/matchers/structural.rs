@@ -9,10 +9,18 @@
 //! allowed pairs (plus, for `Children`, the recursively needed child
 //! pairs) instead of the full cross-product, with results bit-identical
 //! to the masked dense computation.
+//!
+//! Both read the leaf matcher through its keyed table
+//! ([`MatchContext::keyed_table`]): one table over distinct (name,
+//! datatype) profiles for `TypeName`, identity keys over the dense matrix
+//! for a leaf matcher without a keyed form — memoized once per task and
+//! shared by every reader, and never fanned out into an `m × n` buffer
+//! on the masked path.
 
 use crate::combine::{CombinedSim, DirectedCandidates, Direction, Selection};
 use crate::cube::{SimMatrix, SparseBuilder};
-use crate::engine::{matcher_identity, PairMask};
+use crate::engine::PairMask;
+use crate::keyed::KeyedSims;
 use crate::matchers::context::MatchContext;
 use crate::matchers::hybrid::TypeNameMatcher;
 use crate::matchers::Matcher;
@@ -39,46 +47,26 @@ impl StructuralConfig {
         }
     }
 
-    /// The leaf matcher's full matrix, computed fresh or taken from the
-    /// plan-execution memo (keyed by instance identity, so the standard
-    /// library's shared `TypeName` is computed once per task — and shared
-    /// by reference, not cloned, between `Children` and `Leaves`).
-    /// Structural set similarities need the full pair space, so any
-    /// search-space restriction is dropped here — the engine masks the
-    /// *output* of non-cell-local matchers instead.
-    fn leaf_sims(&self, ctx: &MatchContext<'_>) -> Arc<SimMatrix> {
-        let full = ctx.without_restriction();
-        match full.memo {
-            Some(memo) => memo.matrix(
-                self.leaf_matcher.name(),
-                matcher_identity(&self.leaf_matcher),
-                self.leaf_matcher.pure(),
-                || self.leaf_matcher.compute(&full),
-            ),
-            None => Arc::new(self.leaf_matcher.compute(&full)),
-        }
+    /// The leaf matcher's keyed table for the whole task, computed fresh
+    /// or taken from the plan-execution memo (keyed by instance identity,
+    /// so the standard library's shared `TypeName` table is computed once
+    /// per task — and shared by reference between `Children`, `Leaves`
+    /// and `TypeName` itself). Structural set similarities read leaf
+    /// pairs outside any search-space restriction, so the table covers
+    /// the full task; the engine masks the *output* instead.
+    fn leaf_table(&self, ctx: &MatchContext<'_>) -> Arc<KeyedSims> {
+        ctx.keyed_table(&*self.leaf_matcher)
     }
 
-    /// Combined similarity of two element sets given the full pairwise
-    /// similarity table `sims` (indexed by path index).
-    fn set_similarity(&self, set1: &[PathId], set2: &[PathId], sims: &SimMatrix) -> f64 {
-        self.set_similarity_by(set1, set2, |p, q| sims.get(p.index(), q.index()))
-    }
-
-    /// Combined similarity of two element sets with an arbitrary pairwise
-    /// similarity lookup — the sparse `Children` path layers its computed
-    /// inner-pair overlay over the leaf table this way instead of cloning
-    /// a dense matrix to write into.
-    fn set_similarity_by(
-        &self,
-        set1: &[PathId],
-        set2: &[PathId],
-        lookup: impl Fn(PathId, PathId) -> f64,
-    ) -> f64 {
-        if set1.is_empty() && set2.is_empty() {
+    /// Combined similarity of two element sets of sizes `n1` and `n2`,
+    /// where `lookup(a, b)` is the pairwise similarity of the `a`-th
+    /// element of the first set and the `b`-th of the second — leaf-table
+    /// reads by key, or (for `Children`) reads of computed inner pairs.
+    fn set_similarity_by(&self, n1: usize, n2: usize, lookup: impl Fn(usize, usize) -> f64) -> f64 {
+        if n1 == 0 && n2 == 0 {
             return 1.0;
         }
-        if set1.is_empty() || set2.is_empty() {
+        if n1 == 0 || n2 == 0 {
             return 0.0;
         }
         // The paper-default configuration (`Both`/`Max1`) is the per-cell
@@ -89,16 +77,16 @@ impl StructuralConfig {
         // same strict-greater/first-index-wins best candidate per row and
         // column, the same clamping, the same summation order.
         if self.direction == Direction::Both && self.selection == Selection::max_n(1) {
-            return self.set_similarity_max1(set1, set2, lookup);
+            return self.set_similarity_max1(n1, n2, lookup);
         }
-        let mut sub = SimMatrix::new(set1.len(), set2.len());
-        for (a, &p) in set1.iter().enumerate() {
-            for (b, &q) in set2.iter().enumerate() {
-                sub.set(a, b, lookup(p, q));
+        let mut sub = SimMatrix::new(n1, n2);
+        for a in 0..n1 {
+            for b in 0..n2 {
+                sub.set(a, b, lookup(a, b));
             }
         }
         let candidates = DirectedCandidates::select(&sub, self.direction, &self.selection);
-        self.combined.compute(&candidates, set1.len(), set2.len())
+        self.combined.compute(&candidates, n1, n2)
     }
 
     /// The `Both`/`Max1` fast path of [`StructuralConfig::set_similarity_by`]:
@@ -106,17 +94,30 @@ impl StructuralConfig {
     /// clamp mirrors the `SimMatrix::set` the materialized path performs).
     fn set_similarity_max1(
         &self,
-        set1: &[PathId],
-        set2: &[PathId],
-        lookup: impl Fn(PathId, PathId) -> f64,
+        n1: usize,
+        n2: usize,
+        lookup: impl Fn(usize, usize) -> f64,
     ) -> f64 {
         crate::combine::max1_both_combined(
-            set1.len(),
-            set2.len(),
-            |a, b| lookup(set1[a], set2[b]).clamp(0.0, 1.0),
+            n1,
+            n2,
+            |a, b| lookup(a, b).clamp(0.0, 1.0),
             self.combined,
         )
     }
+
+    /// Combined similarity of two leaf-key sets over the keyed leaf table.
+    fn keyed_set_similarity(&self, keys1: &[u32], keys2: &[u32], leaf: &KeyedSims) -> f64 {
+        self.set_similarity_by(keys1.len(), keys2.len(), |a, b| {
+            leaf.by_keys(keys1[a] as usize, keys2[b] as usize)
+        })
+    }
+}
+
+/// The leaf-table keys of the leaves under `p`, given the keys of its
+/// side (row keys for the source, column keys for the target).
+fn leaf_keys(ps: &PathSet, p: PathId, keys: &[u32]) -> Vec<u32> {
+    ps.leaves_under(p).iter().map(|l| keys[l.index()]).collect()
 }
 
 /// The `Children` matcher: "determines the similarity between two inner
@@ -179,11 +180,12 @@ impl ChildrenMatcher {
             if ctx.source_paths.is_leaf(p) {
                 continue;
             }
+            let c1 = ctx.source_paths.children(p);
             for &q in &tgt_inner {
                 let c2 = ctx.target_paths.children(q);
-                let sim = self
-                    .config
-                    .set_similarity(ctx.source_paths.children(p), c2, out);
+                let sim = self.config.set_similarity_by(c1.len(), c2.len(), |a, b| {
+                    out.get(c1[a].index(), c2[b].index())
+                });
                 out.set(p.index(), q.index(), sim);
             }
             // Inner × leaf pairs keep the leaf matcher's value (fallback).
@@ -192,15 +194,15 @@ impl ChildrenMatcher {
 
     /// The sparse path: only the allowed inner × inner cells plus the
     /// child pairs they transitively depend on, processed bottom-up into a
-    /// sparse overlay over the leaf table — no dense `m × n` buffer is
-    /// cloned or written. The output holds exactly the allowed cells
+    /// sparse overlay over the keyed leaf table — no dense `m × n` buffer
+    /// is built or written. The output holds exactly the allowed cells
     /// (computed inner values, leaf values elsewhere), which is what the
     /// dense path's engine-masked result keeps too.
     fn compute_sparse(
         &self,
         ctx: &MatchContext<'_>,
         mask: &PairMask,
-        leaf_sims: &SimMatrix,
+        leaf: &KeyedSims,
     ) -> SimMatrix {
         let cols = ctx.cols();
         let sp = ctx.source_paths;
@@ -246,16 +248,14 @@ impl ChildrenMatcher {
         order.sort_by_key(|&(p, _)| height[p.index()]);
         let mut overlay: HashMap<usize, f64> = HashMap::with_capacity(order.len());
         for (p, q) in order {
-            let sim = self.config.set_similarity_by(
-                sp.children(p),
-                tp.children(q),
-                |a: PathId, b: PathId| {
-                    overlay
-                        .get(&(a.index() * cols + b.index()))
-                        .copied()
-                        .unwrap_or_else(|| leaf_sims.get(a.index(), b.index()))
-                },
-            );
+            let (c1, c2) = (sp.children(p), tp.children(q));
+            let sim = self.config.set_similarity_by(c1.len(), c2.len(), |a, b| {
+                let (a, b) = (c1[a].index(), c2[b].index());
+                overlay
+                    .get(&(a * cols + b))
+                    .copied()
+                    .unwrap_or_else(|| leaf.get(a, b))
+            });
             overlay.insert(p.index() * cols + q.index(), sim.clamp(0.0, 1.0));
         }
 
@@ -266,7 +266,7 @@ impl ChildrenMatcher {
                 let v = overlay
                     .get(&(i * cols + j))
                     .copied()
-                    .unwrap_or_else(|| leaf_sims.get(i, j));
+                    .unwrap_or_else(|| leaf.get(i, j));
                 b.push(i, j, v);
             }
         }
@@ -280,11 +280,11 @@ impl Matcher for ChildrenMatcher {
     }
 
     fn compute(&self, ctx: &MatchContext<'_>) -> SimMatrix {
-        let leaf_sims = self.config.leaf_sims(ctx);
+        let leaf = self.config.leaf_table(ctx);
         match ctx.restriction {
-            Some(mask) => self.compute_sparse(ctx, mask, &leaf_sims),
+            Some(mask) => self.compute_sparse(ctx, mask, &leaf),
             None => {
-                let mut out = (*leaf_sims).clone();
+                let mut out = leaf.fan_out(0..ctx.rows());
                 self.fill_dense(ctx, &mut out);
                 out
             }
@@ -293,6 +293,10 @@ impl Matcher for ChildrenMatcher {
 
     fn sparse_capable(&self) -> bool {
         true
+    }
+
+    fn leaf_matcher(&self) -> Option<&Arc<dyn Matcher>> {
+        Some(&self.config.leaf_matcher)
     }
 }
 
@@ -351,22 +355,23 @@ impl Matcher for LeavesMatcher {
         // A leaf's leaf-set is itself, so every pair is handled uniformly:
         // sim(p, q) = combined similarity of leaves_under(p) × leaves_under(q).
         if let Some(mask) = ctx.restriction {
-            let leaf_sims = self.config.leaf_sims(ctx);
-            // Sparse path: each cell depends only on the (full) leaf-level
-            // similarity table, so only the allowed pairs are computed —
-            // built straight into CSR storage, row by row.
+            let leaf = self.config.leaf_table(ctx);
+            // Sparse path: each cell depends only on the (full) keyed
+            // leaf table, so only the allowed pairs are computed — built
+            // straight into CSR storage, row by row.
             let mut b = SparseBuilder::new(ctx.rows(), ctx.cols());
-            let mut tgt_leaves: Vec<Option<Vec<PathId>>> = vec![None; ctx.cols()];
+            let mut tgt_keys: Vec<Option<Vec<u32>>> = vec![None; ctx.cols()];
             for i in 0..ctx.rows() {
                 let mut allowed = mask.allowed_in_row(i).peekable();
                 if allowed.peek().is_none() {
                     continue;
                 }
-                let l1 = ctx.source_paths.leaves_under(ctx.source_elem(i));
+                let k1 = leaf_keys(ctx.source_paths, ctx.source_elem(i), leaf.row_keys());
                 for j in allowed {
-                    let l2 = tgt_leaves[j]
-                        .get_or_insert_with(|| ctx.target_paths.leaves_under(ctx.target_elem(j)));
-                    b.push(i, j, self.config.set_similarity(&l1, l2, &leaf_sims));
+                    let k2 = tgt_keys[j].get_or_insert_with(|| {
+                        leaf_keys(ctx.target_paths, ctx.target_elem(j), leaf.col_keys())
+                    });
+                    b.push(i, j, self.config.keyed_set_similarity(&k1, k2, &leaf));
                 }
             }
             b.finish()
@@ -376,7 +381,7 @@ impl Matcher for LeavesMatcher {
     }
 
     /// A contiguous block of rows of the dense matrix. Every cell is a
-    /// set similarity over the *shared* leaf-level table (memoized when
+    /// set similarity over the *shared* keyed leaf table (memoized when
     /// the engine attaches a memo), so rows are independent of each other
     /// and a block is bit-identical to the same rows of
     /// [`Matcher::compute`] — this is what makes `Leaves` row-shardable
@@ -388,20 +393,19 @@ impl Matcher for LeavesMatcher {
             // for any other caller by slicing the restricted result.
             return self.compute(ctx).row_range(rows);
         }
-        let leaf_sims = self.config.leaf_sims(ctx);
+        let leaf = self.config.leaf_table(ctx);
         let mut out = SimMatrix::new(rows.len(), ctx.cols());
-        let src_leaves: Vec<Vec<PathId>> = rows
-            .clone()
-            .map(|i| ctx.source_paths.leaves_under(ctx.source_elem(i)))
+        let src_keys: Vec<Vec<u32>> = rows
+            .map(|i| leaf_keys(ctx.source_paths, ctx.source_elem(i), leaf.row_keys()))
             .collect();
-        let tgt_leaves: Vec<Vec<PathId>> = ctx
+        let tgt_keys: Vec<Vec<u32>> = ctx
             .target_paths
             .iter()
-            .map(|q| ctx.target_paths.leaves_under(q))
+            .map(|q| leaf_keys(ctx.target_paths, q, leaf.col_keys()))
             .collect();
-        for (i, l1) in src_leaves.iter().enumerate() {
-            for (j, l2) in tgt_leaves.iter().enumerate() {
-                out.set(i, j, self.config.set_similarity(l1, l2, &leaf_sims));
+        for (i, k1) in src_keys.iter().enumerate() {
+            for (j, k2) in tgt_keys.iter().enumerate() {
+                out.set(i, j, self.config.keyed_set_similarity(k1, k2, &leaf));
             }
         }
         out
@@ -413,6 +417,10 @@ impl Matcher for LeavesMatcher {
 
     fn row_shardable(&self) -> bool {
         true
+    }
+
+    fn leaf_matcher(&self) -> Option<&Arc<dyn Matcher>> {
+        Some(&self.config.leaf_matcher)
     }
 }
 
@@ -637,7 +645,8 @@ mod tests {
                         combined,
                         ..StructuralConfig::paper_default()
                     };
-                    let fast = config.set_similarity_max1(set1, set2, table);
+                    let lookup = |a: usize, b: usize| table(set1[a], set2[b]);
+                    let fast = config.set_similarity_max1(m, n, lookup);
                     // The generic pipeline, spelled out by hand.
                     let mut sub = SimMatrix::new(m, n);
                     for (a, &p) in set1.iter().enumerate() {
@@ -651,7 +660,7 @@ mod tests {
                     assert_eq!(fast, generic, "m={m} n={n} {combined:?}");
                     // And set_similarity_by routes Max1/Both onto the fast
                     // path without changing the value.
-                    assert_eq!(config.set_similarity_by(set1, set2, table), generic);
+                    assert_eq!(config.set_similarity_by(m, n, lookup), generic);
                 }
             }
         }

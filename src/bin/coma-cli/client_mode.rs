@@ -210,13 +210,17 @@ fn print_response(response: Response, json: bool) -> ExitCode {
                 stats.tenant, stats.schemas, stats.mappings, stats.cubes, stats.requests
             );
             println!(
-                "cache: {} matrix hits / {} misses, {} index hits / {} misses, \
-                 {} matrices, {} indexes, {} token sets",
+                "cache: {} matrix hits / {} misses, {} keyed-table hits / {} misses, \
+                 {} index hits / {} misses, {} matrices, {} keyed tables, {} indexes, \
+                 {} token sets",
                 stats.cache.matrix_hits,
                 stats.cache.matrix_misses,
+                stats.cache.keyed_hits,
+                stats.cache.keyed_misses,
                 stats.cache.index_hits,
                 stats.cache.index_misses,
                 stats.cache.matrix_entries,
+                stats.cache.keyed_entries,
                 stats.cache.index_entries,
                 stats.cache.token_entries
             );

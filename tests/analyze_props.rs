@@ -17,9 +17,12 @@
 //! canonical plans produce *definite* predictions where the engine's
 //! decision is statically known.
 
-use coma::core::plans::{candidate_index_plan, fused_filter_plan, topk_pruned_plan};
+use coma::core::plans::{
+    candidate_index_plan, fused_filter_plan, liberal_name_stage, topk_pruned_plan,
+};
 use coma::core::{
-    Coma, EngineConfig, MatchContext, MatchPlan, PlanAnalyzer, PlanEngine, TaskStats, Tri,
+    Coma, EngineConfig, MatchContext, MatchPlan, MatchStrategy, PairMask, PlanAnalyzer, PlanEngine,
+    TaskStats, TopKPer, Tri,
 };
 use coma::graph::PathSet;
 use coma_bench::alloc_track::{measure_peak, CountingAllocator};
@@ -199,4 +202,34 @@ fn peak_bound_covers_repeated_execution() {
             analysis.peak_bytes
         );
     }
+}
+
+/// Regression: the masked refine stage of a generated deep task reads
+/// `TypeName` through its keyed distinct-profile table, so the whole
+/// stage — every matcher, the keyed table, aggregation and selection —
+/// peaks below a single dense `8 · m · n` matrix (a dense leaf table
+/// alone would be exactly that).
+#[test]
+fn masked_refine_stage_peaks_below_one_dense_matrix() {
+    let _window = WINDOW.lock().unwrap();
+    let spec = WorkloadSpec::new(WorkloadShape::Deep, 2000, 3);
+    let (source, target) = generate_task(&spec);
+    let coma = Coma::new();
+    let source_paths = PathSet::new(&source).unwrap();
+    let target_paths = PathSet::new(&target).unwrap();
+    let ctx = MatchContext::new(&source, &target, &source_paths, &target_paths, coma.aux());
+    let engine = PlanEngine::new(coma.library());
+    let filter = liberal_name_stage().top_k(5, TopKPer::Both).unwrap();
+    let survivors = engine.execute(&ctx, &filter).unwrap().result;
+    let mask = PairMask::from_result(ctx.rows(), ctx.cols(), &survivors);
+    let refine = MatchPlan::from(&MatchStrategy::paper_default());
+    let restricted = ctx.with_restriction(&mask);
+    let (peak, outcome) = measure_peak(|| engine.execute(&restricted, &refine));
+    assert!(!outcome.unwrap().result.is_empty());
+    let dense = 8 * ctx.rows() * ctx.cols();
+    assert!(
+        peak < dense,
+        "{}: masked refine peaked at {peak} bytes, not below one dense matrix ({dense})",
+        spec.label()
+    );
 }
