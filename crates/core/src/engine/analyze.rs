@@ -69,6 +69,7 @@ use super::plan::{MatchPlan, TopKPer};
 use super::EngineConfig;
 use crate::combine::{Direction, Selection};
 use crate::matchers::context::MatchContext;
+use crate::matchers::hybrid::TypeNameMatcher;
 use crate::matchers::{Matcher, MatcherLibrary};
 use std::fmt;
 use std::sync::Arc;
@@ -255,18 +256,6 @@ impl TaskStats {
             (0..m).map(|i| ctx.source_name(i)),
             (0..n).map(|j| ctx.target_name(j)),
         );
-        let profiles = |schema: &coma_graph::Schema, paths: &coma_graph::PathSet| {
-            paths
-                .iter()
-                .map(|id| {
-                    (
-                        paths.name(schema, id),
-                        schema.node(paths.node_of(id)).datatype,
-                    )
-                })
-                .collect::<std::collections::HashSet<_>>()
-                .len()
-        };
         let leaves = |schema: &coma_graph::Schema, paths: &coma_graph::PathSet| {
             paths
                 .iter()
@@ -300,8 +289,8 @@ impl TaskStats {
             target_leafset_ids: leafset_id_total(ctx.target_paths),
             source_distinct_names: distinct(&mut s_names),
             target_distinct_names: distinct(&mut t_names),
-            source_profiles: profiles(ctx.source, ctx.source_paths),
-            target_profiles: profiles(ctx.target, ctx.target_paths),
+            source_profiles: TypeNameMatcher::profile_count(ctx.source, ctx.source_paths),
+            target_profiles: TypeNameMatcher::profile_count(ctx.target, ctx.target_paths),
             source_tokens: source.distinct_tokens(),
             target_tokens: target.distinct_tokens(),
             token_postings: source.token_posting_entries() + target.token_posting_entries(),

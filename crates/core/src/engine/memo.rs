@@ -18,10 +18,11 @@
 //!   distinct element profiles plus per-path key ids, keyed like the
 //!   matrices. One table per task serves every reader: the `Children`/
 //!   `Leaves` set similarities and `Children`'s dense start, `TypeName`'s
-//!   masked slice and its unrestricted dense slice (a fan-out). The
-//!   standard library shares one `TypeName` instance for exactly this
-//!   purpose. A leaf matcher without a keyed form is stored with identity
-//!   keys over its memoized dense matrix;
+//!   masked slice and its unrestricted dense slice (a fan-out, when the
+//!   table exists). The standard library shares one `TypeName` instance
+//!   for exactly this purpose. A leaf matcher whose dense matrix is
+//!   already memoized, or that has no keyed form, is stored with identity
+//!   keys over that matrix;
 //! * **vocabulary inverted indexes** — the per-side token/q-gram posting
 //!   structures behind `CandidateIndex` leaves, keyed by (side, gram
 //!   length) so repeated candidate stages build each index once.

@@ -34,10 +34,10 @@
 //!   tokenizations, name-pair similarities, per-matcher matrices and keyed
 //!   leaf tables, so hybrids and overlapping sub-plans stop recomputing
 //!   constituents (with the standard library, the `All` strategy computes
-//!   `TypeName`'s keyed table once for its three readers); memoized
-//!   matrices are shared by
-//!   `Arc`, so an unrestricted stage's cube slice aliases the memo's
-//!   allocation instead of cloning it;
+//!   `TypeName` once for its three readers: its dense slice first, which
+//!   `Children` and `Leaves` then read by identity keys); memoized
+//!   matrices are shared by `Arc`, so an unrestricted stage's cube slice
+//!   aliases the memo's allocation instead of cloning it;
 //! * **staged execution** — `Seq` restricts a later stage's search space
 //!   to an earlier stage's survivors via [`PairMask`], `Par` aggregates
 //!   independent sub-plans, `Filter` re-selects mid-pipeline, `TopK`
@@ -921,6 +921,24 @@ impl<'l> PlanEngine<'l> {
 
         let mut slots: Vec<Option<(Arc<SimMatrix>, usize)>> =
             (0..matchers.len()).map(|_| None).collect();
+        // In an unrestricted stage, a matcher that another matcher of the
+        // stage reads as its leaf matcher (`TypeName` under `All`) is
+        // computed first, on the whole worker budget: its dense slice is
+        // then memoized before any structural reader asks for the keyed
+        // table, and the readers key that matrix by identity instead of
+        // building a second table beside it.
+        if mask.is_none() && ctx.memo.is_some() {
+            let leaf_ids: Vec<usize> = matchers
+                .iter()
+                .filter_map(|(_, m)| m.leaf_matcher())
+                .map(|leaf| matcher_identity(&**leaf))
+                .collect();
+            for (slot, (_, matcher)) in slots.iter_mut().zip(&matchers) {
+                if leaf_ids.contains(&matcher_identity(&**matcher)) {
+                    *slot = Some(self.compute_slice(ctx, matcher, None, workers));
+                }
+            }
+        }
         if self.cfg.parallel && workers > 1 && matchers.len() > 1 {
             // At most `workers` threads, each owning a contiguous chunk of
             // matcher slots.
@@ -931,14 +949,18 @@ impl<'l> PlanEngine<'l> {
                 {
                     scope.spawn(move || {
                         for (slot, (_, matcher)) in slot_chunk.iter_mut().zip(matcher_chunk) {
-                            *slot = Some(compute_one(matcher));
+                            if slot.is_none() {
+                                *slot = Some(compute_one(matcher));
+                            }
                         }
                     });
                 }
             });
         } else {
             for (slot, (_, matcher)) in slots.iter_mut().zip(&matchers) {
-                *slot = Some(compute_one(matcher));
+                if slot.is_none() {
+                    *slot = Some(compute_one(matcher));
+                }
             }
         }
 
@@ -2045,5 +2067,34 @@ mod tests {
         assert_eq!(leaves.stored_entries(), ctx.rows() * ctx.cols());
         assert!(leaves.nonzero().next().is_none(), "Leaves recomputed");
         assert_eq!(type_name.compute(&ctx), *poisoned, "TypeName recomputed");
+    }
+
+    /// In an unrestricted `All` stage `TypeName` runs before its
+    /// structural readers, so their memoized keyed table is identity keys
+    /// over `TypeName`'s memoized dense slice — one leaf table, not a
+    /// dense matrix plus a profile table. A lone `TypeName` compute (what
+    /// a row shard does) never builds the task's keyed table.
+    #[test]
+    fn unrestricted_all_stage_keys_the_dense_leaf_slice_by_identity() {
+        let c = coma();
+        let type_name = c.library().get("TypeName").unwrap();
+        let identity = matcher_identity(&*type_name);
+        let (s1, s2) = (po1(), po2());
+        let p1 = PathSet::new(&s1).unwrap();
+        let p2 = PathSet::new(&s2).unwrap();
+        let ctx = MatchContext::new(&s1, &s2, &p1, &p2, c.aux());
+        let memo = MatchMemo::new();
+        type_name.compute(&ctx.with_memo(&memo));
+        assert!(memo.cached_keyed("TypeName", identity).is_none());
+        let plan = MatchPlan::from(&MatchStrategy::paper_default());
+        for parallel in [true, false] {
+            let memo = MatchMemo::new();
+            PlanEngine::with_config(c.library(), EngineConfig::default().with_parallel(parallel))
+                .execute_with_memo(&ctx, &plan, &memo)
+                .unwrap();
+            let dense = memo.cached_matrix("TypeName", identity).unwrap();
+            let keyed = memo.cached_keyed("TypeName", identity).unwrap();
+            assert!(std::ptr::eq(keyed.table(), &*dense), "parallel={parallel}");
+        }
     }
 }

@@ -158,13 +158,16 @@ impl<'a> MatchContext<'a> {
         }
     }
 
-    /// `matcher`'s full table in keyed form — its
-    /// [`compute_keyed`](Matcher::compute_keyed) table, or identity keys
-    /// over its full matrix when it has none — memoized per task when a
-    /// memo is attached (keyed by matcher name and instance identity, and
-    /// the full matrix with it), so every reader of one task shares a
-    /// single table. Any restriction is dropped: structural set
-    /// similarities read leaf pairs outside the stage mask.
+    /// `matcher`'s full table in keyed form, memoized per task when a
+    /// memo is attached (keyed by matcher name and instance identity), so
+    /// every reader of one task shares a single table. The table is
+    /// identity keys over the matcher's full matrix when the memo already
+    /// holds that matrix (no second table beside it — the engine computes
+    /// a stage's leaf matchers before their structural readers), else the
+    /// matcher's [`compute_keyed`](Matcher::compute_keyed) table, else
+    /// identity keys over a freshly memoized full matrix. Any restriction
+    /// is dropped: structural set similarities read leaf pairs outside
+    /// the stage mask.
     pub fn keyed_table(&self, matcher: &dyn Matcher) -> Arc<KeyedSims> {
         let full = self.without_restriction();
         let (name, identity, pure) = (matcher.name(), matcher_identity(matcher), matcher.pure());
@@ -173,9 +176,15 @@ impl<'a> MatchContext<'a> {
             None => Arc::new(matcher.compute(&full)),
         };
         let build = || {
-            matcher
-                .compute_keyed(&full)
-                .unwrap_or_else(|| KeyedSims::identity(full_matrix()))
+            let cached = self
+                .memo
+                .and_then(|memo| memo.cached_matrix(name, identity));
+            match cached {
+                Some(matrix) => KeyedSims::identity(matrix),
+                None => matcher
+                    .compute_keyed(&full)
+                    .unwrap_or_else(|| KeyedSims::identity(full_matrix())),
+            }
         };
         match self.memo {
             Some(memo) => memo.keyed(name, identity, pure, build),

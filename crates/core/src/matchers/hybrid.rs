@@ -3,11 +3,12 @@
 //! live in [`super::structural`].)
 
 use crate::cube::{SimMatrix, SparseBuilder};
-use crate::engine::TaskStats;
+use crate::engine::{matcher_identity, TaskStats};
 use crate::keyed::KeyedSims;
 use crate::matchers::context::MatchContext;
 use crate::matchers::name_engine::NameEngine;
 use crate::matchers::Matcher;
+use coma_graph::{DataType, PathId, PathSet, Schema};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -429,9 +430,10 @@ impl Matcher for TypeNameMatcher {
 
     /// A contiguous block of rows of the dense matrix: a fan-out of the
     /// keyed (name, datatype)-profile table — the task's memoized one
-    /// when a memo is attached (shared with `Children`/`Leaves`), else
-    /// one over only these rows. Each cell depends only on its own pair
-    /// of profiles, so the block is bit-identical to the same rows of
+    /// when a reader (`Children`/`Leaves`) already built it, else one
+    /// over only these rows, so a row shard never builds (or waits on)
+    /// the whole task's table. Each cell depends only on its own pair of
+    /// profiles, so the block is bit-identical to the same rows of
     /// [`Matcher::compute`].
     fn compute_rows(&self, ctx: &MatchContext<'_>, rows: std::ops::Range<usize>) -> SimMatrix {
         if ctx.restriction.is_some() {
@@ -439,8 +441,11 @@ impl Matcher for TypeNameMatcher {
             // for any other caller by slicing the restricted result.
             return self.compute(ctx).row_range(rows);
         }
-        match ctx.memo {
-            Some(_) => ctx.keyed_table(self).fan_out(rows),
+        let cached = ctx
+            .memo
+            .and_then(|memo| memo.cached_keyed(self.name(), matcher_identity(self)));
+        match cached {
+            Some(keyed) => keyed.fan_out(rows),
             None => self.profile_table(ctx, rows.clone()).fan_out(0..rows.len()),
         }
     }
@@ -465,26 +470,34 @@ impl Matcher for TypeNameMatcher {
     }
 }
 
+/// The (element name, datatype) profile of path `id`: every `TypeName`
+/// value depends on its two paths only through their profiles.
+fn profile<'s>(schema: &'s Schema, paths: &'s PathSet, id: PathId) -> (&'s str, Option<DataType>) {
+    (
+        paths.name(schema, id),
+        schema.node(paths.node_of(id)).datatype,
+    )
+}
+
 impl TypeNameMatcher {
+    /// The number of distinct (name, datatype) profiles among `paths` —
+    /// the row (source) or column (target) count of the keyed table.
+    pub fn profile_count(schema: &Schema, paths: &PathSet) -> usize {
+        distinct_keys(paths.iter().map(|id| profile(schema, paths, id)))
+            .1
+            .len()
+    }
+
     /// The keyed table of source rows `rows` against every target column:
     /// one weighted similarity per distinct (name, datatype) profile
     /// pair, keyed by each path's profile.
     fn profile_table(&self, ctx: &MatchContext<'_>, rows: std::ops::Range<usize>) -> KeyedSims {
         let total = self.name_weight + self.type_weight;
-        let (src_ids, src_profiles) = distinct_keys(rows.map(|i| {
-            let datatype = ctx
-                .source
-                .node(ctx.source_paths.node_of(ctx.source_elem(i)))
-                .datatype;
-            (ctx.source_name(i), datatype)
-        }));
-        let (tgt_ids, tgt_profiles) = distinct_keys((0..ctx.cols()).map(|j| {
-            let datatype = ctx
-                .target
-                .node(ctx.target_paths.node_of(ctx.target_elem(j)))
-                .datatype;
-            (ctx.target_name(j), datatype)
-        }));
+        let (src_ids, src_profiles) =
+            distinct_keys(rows.map(|i| profile(ctx.source, ctx.source_paths, ctx.source_elem(i))));
+        let (tgt_ids, tgt_profiles) = distinct_keys(
+            (0..ctx.cols()).map(|j| profile(ctx.target, ctx.target_paths, ctx.target_elem(j))),
+        );
         // Name similarities deduplicate one level further (profiles
         // with different datatypes share their name's value).
         let (src_name_ids, src_names) = distinct_keys(src_profiles.iter().map(|&(name, _)| name));

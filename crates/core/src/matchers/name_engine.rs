@@ -133,24 +133,6 @@ impl NameEngine {
         value.clamp(0.0, 1.0)
     }
 
-    /// Steps 2+3 over a pre-computed token-pair similarity matrix (cell
-    /// `(i, j)` = [`NameEngine::token_pair_similarity`] of `t1[i]`,
-    /// `t2[j]`). Factored out so callers holding a distinct-token table
-    /// (see the `Name`/`TypeName` dense paths) skip recomputing token
-    /// sims per name pair.
-    pub fn combine_token_sims(&self, t1: &[String], t2: &[String], sims: &SimMatrix) -> f64 {
-        if !sims.is_sparse() && (sims.rows(), sims.cols()) == (t1.len(), t2.len()) {
-            let values = sims.values();
-            let n = t2.len();
-            return self.combine_token_sims_by(t1, t2, |i, j| values[i * n + j]);
-        }
-        if let Some(trivial) = trivial_combination(t1, t2) {
-            return trivial;
-        }
-        let candidates = DirectedCandidates::select(sims, self.direction, &self.selection);
-        self.combined.compute(&candidates, t1.len(), t2.len())
-    }
-
     /// Steps 2+3 over a token-pair similarity lookup (`lookup(i, j)` =
     /// [`NameEngine::token_pair_similarity`] of `t1[i]`, `t2[j]`), e.g.
     /// reads of a distinct-token table. The paper-default `Both`/`Max1`
@@ -167,7 +149,7 @@ impl NameEngine {
         if let Some(trivial) = trivial_combination(t1, t2) {
             return trivial;
         }
-        if self.direction == Direction::Both && self.selection == Selection::max_n(1) {
+        if self.is_both_max1() {
             return crate::combine::max1_both_combined(t1.len(), t2.len(), lookup, self.combined);
         }
         let mut sims = SimMatrix::new(t1.len(), t2.len());
@@ -176,22 +158,43 @@ impl NameEngine {
                 *dst = lookup(i, j);
             }
         }
-        let candidates = DirectedCandidates::select(&sims, self.direction, &self.selection);
-        self.combined.compute(&candidates, t1.len(), t2.len())
+        self.combine_matrix(&sims)
     }
 
-    /// Combined similarity of two pre-computed token sets.
+    /// Combined similarity of two pre-computed token sets. Each token
+    /// pair is scored once into a matrix (the `Both`/`Max1` fold reads
+    /// every cell twice), then combined.
     pub fn token_set_similarity(&self, t1: &[String], t2: &[String], aux: &Auxiliary) -> f64 {
         if let Some(trivial) = trivial_combination(t1, t2) {
             return trivial;
         }
-        let mut matrix = SimMatrix::new(t1.len(), t2.len());
+        let mut sims = SimMatrix::new(t1.len(), t2.len());
         for (i, a) in t1.iter().enumerate() {
             for (j, b) in t2.iter().enumerate() {
-                matrix.set(i, j, self.token_pair_similarity(a, b, aux));
+                sims.set(i, j, self.token_pair_similarity(a, b, aux));
             }
         }
-        self.combine_token_sims(t1, t2, &matrix)
+        self.combine_matrix(&sims)
+    }
+
+    fn is_both_max1(&self) -> bool {
+        self.direction == Direction::Both && self.selection == Selection::max_n(1)
+    }
+
+    /// Steps 2+3 over a dense token-pair matrix of two non-empty sets.
+    fn combine_matrix(&self, sims: &SimMatrix) -> f64 {
+        let (m, n) = (sims.rows(), sims.cols());
+        if self.is_both_max1() {
+            let values = sims.values();
+            return crate::combine::max1_both_combined(
+                m,
+                n,
+                |i, j| values[i * n + j],
+                self.combined,
+            );
+        }
+        let candidates = DirectedCandidates::select(sims, self.direction, &self.selection);
+        self.combined.compute(&candidates, m, n)
     }
 
     /// Name-level similarity (tokenize + expand + combine).
@@ -294,7 +297,7 @@ mod tests {
         assert_eq!(s1, e.similarity("ShipTo", "DeliverTo", &a));
     }
 
-    /// The `Both`/`Max1` fast path inside `combine_token_sims` computes
+    /// The `Both`/`Max1` fast path inside `combine_token_sims_by` computes
     /// exactly what the generic select + compute pipeline computes.
     #[test]
     fn combine_fast_path_matches_generic_pipeline() {
@@ -312,7 +315,7 @@ mod tests {
                 combined,
                 ..NameEngine::paper_default()
             };
-            let fast = engine.combine_token_sims(&t1, &t2, &sims);
+            let fast = engine.combine_token_sims_by(&t1, &t2, |i, j| sims.get(i, j));
             let cands = DirectedCandidates::select(&sims, engine.direction, &engine.selection);
             let generic = engine.combined.compute(&cands, t1.len(), t2.len());
             assert_eq!(fast, generic, "{combined:?}");

@@ -21,8 +21,8 @@ use coma::core::plans::{
     candidate_index_plan, fused_filter_plan, liberal_name_stage, topk_pruned_plan,
 };
 use coma::core::{
-    Coma, EngineConfig, MatchContext, MatchPlan, MatchStrategy, PairMask, PlanAnalyzer, PlanEngine,
-    TaskStats, TopKPer, Tri,
+    Coma, CombinationStrategy, EngineConfig, MatchContext, MatchPlan, MatchStrategy, PairMask,
+    PlanAnalyzer, PlanEngine, Selection, TaskStats, TopKPer, Tri,
 };
 use coma::graph::PathSet;
 use coma_bench::alloc_track::{measure_peak, CountingAllocator};
@@ -232,4 +232,46 @@ fn masked_refine_stage_peaks_below_one_dense_matrix() {
         "{}: masked refine peaked at {peak} bytes, not below one dense matrix ({dense})",
         spec.label()
     );
+}
+
+/// A fused `TypeName`-only prune stage on a catalog task, where nearly
+/// every (name, datatype) profile is distinct: each row shard builds the
+/// keyed table of its own rows only, never the whole task's table (which
+/// alone would be about one dense `8 · m · n` matrix). The execution
+/// stays within the predicted bound, and with a fuse budget that admits
+/// one shard in flight it peaks below one dense matrix.
+#[test]
+fn fused_typename_stage_on_catalog_task_peaks_below_one_dense_matrix() {
+    let _window = WINDOW.lock().unwrap();
+    let spec = WorkloadSpec::new(WorkloadShape::Catalog, 1200, 5);
+    let mut liberal = CombinationStrategy::paper_default();
+    liberal.selection = Selection::max_n(10).with_threshold(0.3);
+    let plan = MatchPlan::matchers_with(["TypeName"], liberal)
+        .top_k(5, TopKPer::Both)
+        .unwrap();
+    let one_in_flight = EngineConfig::default()
+        .with_shards(8)
+        .with_fuse_budget_bytes(1);
+    let configs = [
+        ("default", EngineConfig::default()),
+        ("sharded", EngineConfig::default().with_shards(4)),
+        ("one_in_flight", one_in_flight),
+    ];
+    for (cfg_name, cfg) in configs {
+        let which = format!("{}/{cfg_name}/typename_topk", spec.label());
+        let run = analyze_and_execute(&spec, &plan, cfg);
+        assert!(
+            run.outcome.stages.iter().any(|s| s.fused),
+            "{which}: no fused stage"
+        );
+        assert_sound(&which, &run);
+        if cfg_name == "one_in_flight" {
+            let dense = 8 * run.analysis.stats.cells() as usize;
+            assert!(
+                run.measured_peak < dense,
+                "{which}: peaked at {} bytes, not below one dense matrix ({dense})",
+                run.measured_peak
+            );
+        }
+    }
 }
