@@ -69,7 +69,7 @@ use super::plan::{MatchPlan, TopKPer};
 use super::EngineConfig;
 use crate::combine::{Direction, Selection};
 use crate::matchers::context::MatchContext;
-use crate::matchers::hybrid::TypeNameMatcher;
+use crate::matchers::hybrid::{long_name_ids, TypeNameMatcher};
 use crate::matchers::{Matcher, MatcherLibrary};
 use std::fmt;
 use std::sync::Arc;
@@ -193,10 +193,12 @@ pub struct TaskStats {
     pub source_leafset_ids: usize,
     /// Target-side total of the leaves-under expansions.
     pub target_leafset_ids: usize,
-    /// Distinct element names per side.
-    pub source_distinct_names: usize,
-    /// Distinct element names per side.
-    pub target_distinct_names: usize,
+    /// Token ids across the source paths' long names (every element
+    /// name along the path) — the per-path lists of the name matchers'
+    /// token table.
+    pub source_path_token_ids: usize,
+    /// Token ids across the target paths' long names.
+    pub target_path_token_ids: usize,
     /// Distinct (element name, datatype) profiles on the source side —
     /// the row count of `TypeName`'s keyed leaf table.
     pub source_profiles: usize,
@@ -246,16 +248,9 @@ impl TaskStats {
         } else {
             shared as f64 / union as f64
         };
-        let distinct = |names: &mut dyn Iterator<Item = &str>| {
-            let mut seen: Vec<&str> = names.collect();
-            seen.sort_unstable();
-            seen.dedup();
-            seen.len()
+        let path_token_ids = |index: &VocabIndex, paths: &coma_graph::PathSet| {
+            long_name_ids(paths, |p| index.element_tokens(p)).ids.len()
         };
-        let (mut s_names, mut t_names) = (
-            (0..m).map(|i| ctx.source_name(i)),
-            (0..n).map(|j| ctx.target_name(j)),
-        );
         let leaves = |schema: &coma_graph::Schema, paths: &coma_graph::PathSet| {
             paths
                 .iter()
@@ -287,8 +282,8 @@ impl TaskStats {
             target_leaves: leaves(ctx.target, ctx.target_paths),
             source_leafset_ids: leafset_id_total(ctx.source_paths),
             target_leafset_ids: leafset_id_total(ctx.target_paths),
-            source_distinct_names: distinct(&mut s_names),
-            target_distinct_names: distinct(&mut t_names),
+            source_path_token_ids: path_token_ids(&source, ctx.source_paths),
+            target_path_token_ids: path_token_ids(&target, ctx.target_paths),
             source_profiles: TypeNameMatcher::profile_count(ctx.source, ctx.source_paths),
             target_profiles: TypeNameMatcher::profile_count(ctx.target, ctx.target_paths),
             source_tokens: source.distinct_tokens(),
@@ -532,8 +527,9 @@ const PLAN_SLACK: u64 = 8 << 20;
 const PER_NAME_PREP: u64 = 512;
 /// Bytes per distinct token-pair similarity entry.
 const TOKEN_PAIR: u64 = 48;
-/// Bytes per distinct name-pair similarity entry.
-const NAME_PAIR: u64 = 64;
+/// Bytes per token id of the token table's lists (`u32` plus growth
+/// slack).
+const TOKEN_ID: u64 = 8;
 /// A `CandidateIndex` task is "large" (uncapped leaves get a warning)
 /// from this many pair-space cells on.
 const LARGE_TASK_CELLS: u64 = 1 << 20;
@@ -677,22 +673,22 @@ impl<'a> PlanAnalyzer<'a> {
     }
 
     /// Shared preparation: tokenization and path tables per element, the
-    /// distinct-token and distinct-name pair similarity tables (filled
-    /// lazily, bounded by their cross products and by the cells that can
-    /// ever be compared), and the `TaskStats` probe indexes.
+    /// name matchers' token table (built once per task and shared by
+    /// every name matcher, shard and fused worker: the distinct-token
+    /// pair product plus the per-name and per-path token-id lists, the
+    /// per-name lists bounded by the token postings), and the
+    /// `TaskStats` probe indexes.
     fn prep_bound(&self, stats: &TaskStats) -> u64 {
         let elements = (stats.rows as u64).saturating_add(stats.cols as u64);
-        let token_pairs = (stats.source_tokens as u64)
-            .saturating_mul(stats.target_tokens as u64)
-            .min(stats.cells().saturating_mul(16));
-        let name_pairs = (stats.source_distinct_names as u64)
-            .saturating_mul(stats.target_distinct_names as u64)
-            .min(stats.cells());
+        let token_pairs = (stats.source_tokens as u64).saturating_mul(stats.target_tokens as u64);
+        let token_ids = (stats.source_path_token_ids as u64)
+            .saturating_add(stats.target_path_token_ids as u64)
+            .saturating_add(stats.token_postings as u64);
         let postings = (stats.token_postings as u64).saturating_add(2 * stats.gram_postings as u64);
         elements
             .saturating_mul(PER_NAME_PREP)
             .saturating_add(token_pairs.saturating_mul(TOKEN_PAIR))
-            .saturating_add(name_pairs.saturating_mul(NAME_PAIR))
+            .saturating_add(token_ids.saturating_mul(TOKEN_ID))
             .saturating_add(postings.saturating_mul(16))
     }
 
@@ -1616,8 +1612,8 @@ mod tests {
             target_leaves: cols,
             source_leafset_ids: 2 * rows,
             target_leafset_ids: 2 * cols,
-            source_distinct_names: rows,
-            target_distinct_names: cols,
+            source_path_token_ids: 2 * rows,
+            target_path_token_ids: 2 * cols,
             source_profiles: rows,
             target_profiles: cols,
             source_tokens: rows,

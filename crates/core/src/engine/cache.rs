@@ -5,7 +5,7 @@
 //! work *within* one plan run; an [`EngineCache`] extends the same idea
 //! across runs, which is what a long-running matching service needs —
 //! repeat traffic against a hot schema pair should skip tokenization,
-//! name-pair scoring, matcher matrices and inverted-index construction
+//! token-pair scoring, matcher matrices and inverted-index construction
 //! entirely. The memo becomes a *view* over this cache: every memo is
 //! bound to one `Arc<EngineCache>` (its own private one by default, a
 //! shared one under [`PlanEngine::execute_cached`]), and its lookups
@@ -16,11 +16,12 @@
 //! every path's full name plus type information — so "the same schema"
 //! means *same content*, not same allocation: a client re-sending an
 //! identical schema, or the server reloading it from the persistent
-//! repository, hits the cache. Tokenizations and name-pair similarity
-//! tables are keyed by the strings themselves (schema-independent);
-//! matcher matrices and keyed leaf tables ([`KeyedSims`]) are keyed by
-//! (schema-pair scope, matcher name, matcher instance identity);
-//! vocabulary indexes by (schema fingerprint, gram length).
+//! repository, hits the cache. Tokenizations of element names are keyed
+//! by the names themselves (schema-independent); matcher matrices and
+//! keyed leaf tables ([`KeyedSims`]) are keyed by (schema-pair scope,
+//! matcher name, matcher instance identity); the name matchers' token
+//! tables by (schema-pair scope, token-pair function); vocabulary
+//! indexes by (schema fingerprint, gram length).
 //!
 //! Validity: a cache is only coherent for a fixed [`Auxiliary`]
 //! configuration and a stable [`MatcherLibrary`] (matrix keys include
@@ -29,15 +30,16 @@
 //! reason. Matchers that read mutable state beyond the schemas — the
 //! reuse matchers, which consult the repository — report
 //! [`Matcher::pure`] `= false` and are kept out of the shared matrix
-//! store (they still share tokenizations and name-pair sims, which only
-//! depend on strings).
+//! store (they still share tokenizations, which only depend on strings).
 //!
 //! Memory: matrix entries are the big artifacts, so they are bounded by
 //! a schema-pair scope cap (default [`EngineCache::DEFAULT_MAX_PAIRS`]):
 //! registering a scope beyond the cap evicts the least-recently-used
-//! pair's matrices and keyed tables, and any vocabulary index whose schema no longer
-//! appears in a live scope. String-level tables are unbounded (they grow
-//! with the distinct-name vocabulary, not with traffic).
+//! pair's matrices, keyed tables and token tables, and any vocabulary
+//! index whose schema no longer appears in a live scope. Only the
+//! tokenization map is unscoped: it holds element names (never long path
+//! names), so it grows with the distinct-name vocabulary, not with
+//! traffic or path count.
 //!
 //! [`PlanEngine::execute_cached`]: super::PlanEngine::execute_cached
 //! [`Auxiliary`]: crate::Auxiliary
@@ -48,15 +50,13 @@
 use super::index::VocabIndex;
 use crate::cube::SimMatrix;
 use crate::keyed::KeyedSims;
+use crate::matchers::hybrid::TokenTable;
 use coma_graph::{PathSet, Schema};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// A cache of name-pair similarities for one `NameEngine` configuration.
-pub(crate) type PairSims = Arc<RwLock<HashMap<(String, String), f64>>>;
 
 /// The schema-pair scope of one plan execution: (source fingerprint,
 /// target fingerprint). Matrix entries are valid only within one scope.
@@ -135,8 +135,9 @@ pub struct CacheStats {
     pub index_misses: u64,
     /// Distinct cached tokenizations.
     pub token_entries: u64,
-    /// Cached name-pair similarity tables (one per engine configuration).
-    pub sim_tables: u64,
+    /// Live token tables (one per schema-pair scope and token-pair
+    /// function; evicted with their scope).
+    pub token_tables: u64,
     /// Live shared matrix entries.
     pub matrix_entries: u64,
     /// Keyed leaf-table lookups answered from the cache.
@@ -167,8 +168,9 @@ pub struct ScopeWarmth {
 pub struct EngineCache {
     /// Name → abbreviation-expanded token set (schema-independent).
     token_sets: RwLock<HashMap<String, Arc<Vec<String>>>>,
-    /// Engine fingerprint → its name-pair similarity table.
-    name_sims: Mutex<HashMap<String, PairSims>>,
+    /// (pair scope, token-pair function, 0) → the name matchers' token
+    /// table.
+    token_tables: Mutex<ScopedSlots<TokenTable>>,
     /// (pair scope, matcher name, instance identity) → full matrix.
     matrices: Mutex<ScopedSlots<SimMatrix>>,
     /// (pair scope, matcher name, instance identity) → keyed leaf table.
@@ -200,7 +202,7 @@ impl EngineCache {
     pub fn with_capacity(max_pairs: usize) -> EngineCache {
         EngineCache {
             token_sets: RwLock::default(),
-            name_sims: Mutex::default(),
+            token_tables: Mutex::default(),
             matrices: Mutex::default(),
             keyed: Mutex::default(),
             indexes: Mutex::default(),
@@ -223,7 +225,7 @@ impl EngineCache {
             index_hits: self.index_hits.load(Ordering::Relaxed),
             index_misses: self.index_misses.load(Ordering::Relaxed),
             token_entries: self.token_sets.read().len() as u64,
-            sim_tables: self.name_sims.lock().len() as u64,
+            token_tables: self.token_tables.lock().len() as u64,
             matrix_entries: self.matrices.lock().len() as u64,
             keyed_hits: self.keyed_hits.load(Ordering::Relaxed),
             keyed_misses: self.keyed_misses.load(Ordering::Relaxed),
@@ -259,7 +261,7 @@ impl EngineCache {
     /// change auxiliary tables or rebuild their matcher library mid-life.
     pub fn purge(&self) {
         self.token_sets.write().clear();
-        self.name_sims.lock().clear();
+        self.token_tables.lock().clear();
         self.matrices.lock().clear();
         self.keyed.lock().clear();
         self.indexes.lock().clear();
@@ -288,6 +290,9 @@ impl EngineCache {
         self.keyed
             .lock()
             .retain(|(scope, _, _), _| !evicted.contains(scope));
+        self.token_tables
+            .lock()
+            .retain(|(scope, _, _), _| !evicted.contains(scope));
         self.indexes.lock().retain(|(fp, _), _| {
             live.iter().any(|(s, t)| s == fp || t == fp)
                 || !evicted.iter().any(|(s, t)| s == fp || t == fp)
@@ -310,12 +315,13 @@ impl EngineCache {
             .clone()
     }
 
-    pub(crate) fn name_sims(&self, fingerprint: String) -> PairSims {
-        self.name_sims
-            .lock()
-            .entry(fingerprint)
-            .or_default()
-            .clone()
+    pub(crate) fn token_table(
+        &self,
+        scope: PairScope,
+        key: &str,
+        compute: impl FnOnce() -> TokenTable,
+    ) -> Arc<TokenTable> {
+        slot_get_or_init(&self.token_tables, (scope, key, 0), compute).0
     }
 
     pub(crate) fn matrix(
@@ -573,6 +579,35 @@ mod tests {
             "repeat request must compute no new matrices"
         );
         assert!(after_second.matrix_hits > after_first.matrix_hits);
+    }
+
+    /// A server cache stays bounded under cold traffic: token tables are
+    /// evicted with their pair scope, and only element names (never long
+    /// path names) are tokenized into the unscoped map.
+    #[test]
+    fn cold_pairs_keep_token_tables_and_tokenizations_bounded() {
+        let coma = crate::process::Coma::new();
+        let plan = crate::engine::MatchPlan::from(&crate::process::MatchStrategy::paper_default());
+        let cfg = crate::engine::EngineConfig::default;
+        let max_pairs = 2;
+        let cache = Arc::new(EngineCache::with_capacity(max_pairs));
+        let leaves = ["shipToCity", "billToStreet", "poNo"];
+        let mut names: Vec<String> = leaves.iter().map(|l| l.to_string()).collect();
+        let mut paths = 0;
+        for i in 0..2 * max_pairs {
+            let (s, sp) = schema(&format!("PO{i}"), &leaves);
+            let (t, tp) = schema(&format!("Order{i}"), &leaves[..2]);
+            names.extend([s.name().to_string(), t.name().to_string()]);
+            paths += sp.len() + tp.len();
+            coma.match_plan_cached(cfg(), &s, &t, &plan, &cache)
+                .unwrap();
+            let stats = cache.stats();
+            assert!(stats.token_tables as usize <= max_pairs);
+            assert_eq!(stats.token_entries as usize, names.len());
+        }
+        assert!(names.len() < paths);
+        cache.purge();
+        assert_eq!(cache.stats().token_tables, 0);
     }
 
     #[test]

@@ -131,6 +131,11 @@ impl VocabIndex {
         self.element_tokens.len()
     }
 
+    /// The distinct token ids of element `el`'s name, in first-use order.
+    pub(crate) fn element_tokens(&self, el: usize) -> &[u32] {
+        &self.element_tokens[el]
+    }
+
     /// The gram length the index was built with (0 = token channel only).
     pub fn q(&self) -> usize {
         self.q

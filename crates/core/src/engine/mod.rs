@@ -31,7 +31,7 @@
 //!   report [`StageOutcome::fused`] and skip materializing the inner
 //!   `Matchers` stage;
 //! * **memoized shared work** — a per-execution [`MatchMemo`] caches
-//!   tokenizations, name-pair similarities, per-matcher matrices and keyed
+//!   tokenizations, token tables, per-matcher matrices and keyed
 //!   leaf tables, so hybrids and overlapping sub-plans stop recomputing
 //!   constituents (with the standard library, the `All` strategy computes
 //!   `TypeName` once for its three readers: its dense slice first, which
@@ -119,7 +119,7 @@ pub use analyze::{
 pub use cache::{schema_fingerprint, CacheStats, EngineCache, ScopeWarmth};
 pub use index::{CandidateParams, CandidateScorer, IndexStats, VocabIndex};
 pub use mask::PairMask;
-pub use memo::{matcher_identity, MatchMemo, NameSimCache};
+pub use memo::{matcher_identity, MatchMemo};
 pub use plan::{MatchPlan, PlanError, PlanErrorKind, TopKPer};
 
 use crate::combine::{
@@ -477,7 +477,7 @@ impl<'l> PlanEngine<'l> {
     /// Like [`PlanEngine::execute`], but memoizing through a shared
     /// cross-request [`EngineCache`]: the execution's memo is scoped to
     /// the [`schema_fingerprint`]s of the two sides, so tokenizations,
-    /// name-pair similarities, pure matcher matrices and vocabulary
+    /// token tables, pure matcher matrices and vocabulary
     /// indexes computed by earlier executions against the same schemas
     /// (by content) are reused, and this execution's artifacts are left
     /// behind for later ones.

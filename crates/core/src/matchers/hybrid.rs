@@ -1,6 +1,15 @@
 //! The hybrid element-level matchers of Section 4.2: `Name`, `NamePath`
 //! and `TypeName`. (The hybrid structural matchers `Children` and `Leaves`
 //! live in [`super::structural`].)
+//!
+//! All three read one token table per task: the distinct tokens of both
+//! sides, their token-pair similarities, and token-id lists per element
+//! name and per path (`NamePath`'s long name). Names come from a bounded
+//! vocabulary, so the table is small; every cell — dense, sharded, fused
+//! or masked — folds [`NameEngine::combine_token_sims_by`] over it,
+//! value-identical to [`NameEngine::similarity`] on the cell's (long)
+//! names. A plan execution memoizes the table per task and token-pair
+//! function ([`MatchMemo`](crate::MatchMemo)).
 
 use crate::cube::{SimMatrix, SparseBuilder};
 use crate::engine::{matcher_identity, TaskStats};
@@ -11,154 +20,240 @@ use crate::matchers::Matcher;
 use coma_graph::{DataType, PathId, PathSet, Schema};
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Deduplicates the per-row/column keys of one schema side: returns the
 /// key id of every element plus the distinct keys in first-use order.
 /// Real schemas repeat element names heavily across paths (a 1000-path
-/// schema often has only a few hundred distinct names), so `Name` and
-/// `TypeName` compute their similarity tables over distinct keys and fan
-/// the values out, instead of paying a cache lookup per matrix cell.
-fn distinct_keys<K: Eq + Hash + Clone>(keys: impl Iterator<Item = K>) -> (Vec<usize>, Vec<K>) {
+/// schema often has only a few hundred distinct names), so the name
+/// matchers compute their similarity tables over distinct keys and fan
+/// the values out.
+fn distinct_keys<K: Eq + Hash + Clone>(keys: impl Iterator<Item = K>) -> (Vec<u32>, Vec<K>) {
     let mut ids = Vec::new();
     let mut order: Vec<K> = Vec::new();
-    let mut seen: HashMap<K, usize> = HashMap::new();
+    let mut seen: HashMap<K, u32> = HashMap::new();
     for key in keys {
         let id = *seen.entry(key.clone()).or_insert_with(|| {
             order.push(key);
-            order.len() - 1
+            u32::try_from(order.len() - 1).expect("more than u32::MAX distinct keys")
         });
         ids.push(id);
     }
     (ids, order)
 }
 
-/// Per-set token ids plus the distinct tokens in first-use order.
-fn index_tokens(sets: &[Arc<Vec<String>>]) -> (Vec<Vec<usize>>, Vec<&str>) {
-    let mut names: Vec<&str> = Vec::new();
-    let mut map: HashMap<&str, usize> = HashMap::new();
-    let per_set = sets
-        .iter()
-        .map(|ts| {
-            ts.iter()
-                .map(|t| {
-                    *map.entry(t.as_str()).or_insert_with(|| {
-                        names.push(t.as_str());
-                        names.len() - 1
-                    })
-                })
-                .collect()
-        })
-        .collect();
-    (per_set, names)
+/// Token-id lists in one flat buffer: list `k` is
+/// `ids[offsets[k]..offsets[k + 1]]`.
+pub(crate) struct IdLists {
+    offsets: Vec<usize>,
+    pub(crate) ids: Vec<u32>,
 }
 
-/// Token-pair similarities over the distinct tokens of two lists of
-/// token sets, computed once per distinct token pair (schemas draw names
-/// from a bounded vocabulary, so this is small and independent of schema
-/// size), plus each set's token ids. A set pair's steps-2+3 combination
-/// then folds over table lookups
-/// ([`NameEngine::combine_token_sims_by`] — no per-pair allocation for
-/// the default `Both`/`Max1` engine), value-identical to
-/// [`NameEngine::token_set_similarity`].
-struct TokenTable {
-    src_ids: Vec<Vec<usize>>,
-    tgt_ids: Vec<Vec<usize>>,
-    tgt_tokens: usize,
+impl IdLists {
+    fn get(&self, k: usize) -> &[u32] {
+        &self.ids[self.offsets[k]..self.offsets[k + 1]]
+    }
+
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+}
+
+/// The token ids of every path's long name (all element names along the
+/// path, joined) given each path's own element-name ids `own(p)`: the
+/// parent's list followed by the own ids it lacks, in one preorder sweep
+/// (parents precede their children). Tokenization splits at the joining
+/// separator and abbreviation expansion is per token, so this is exactly
+/// the token set of the joined name — without building or tokenizing a
+/// single long string.
+pub(crate) fn long_name_ids<'a>(paths: &PathSet, own: impl Fn(usize) -> &'a [u32]) -> IdLists {
+    let mut lists = IdLists {
+        offsets: vec![0],
+        ids: Vec::new(),
+    };
+    for p in paths.iter() {
+        let start = lists.ids.len();
+        if let Some(parent) = paths.parent(p) {
+            let (from, to) = (
+                lists.offsets[parent.index()],
+                lists.offsets[parent.index() + 1],
+            );
+            lists.ids.extend_from_within(from..to);
+        }
+        for &t in own(p.index()) {
+            if !lists.ids[start..].contains(&t) {
+                lists.ids.push(t);
+            }
+        }
+        lists.offsets.push(lists.ids.len());
+    }
+    lists
+}
+
+/// One schema side of a [`TokenTable`].
+struct Side {
+    /// Per path: the id of its element name among `names`.
+    name_of: Vec<u32>,
+    /// Per distinct element name: its token ids.
+    names: IdLists,
+    /// Per path: the token ids of its long name.
+    paths: IdLists,
+}
+
+impl Side {
+    /// The token ids of path `i`'s element name.
+    fn name(&self, i: usize) -> &[u32] {
+        self.names.get(self.name_of[i] as usize)
+    }
+}
+
+/// One side's distinct element names (the name id of every path), each
+/// distinct name's token ids, and the side's distinct tokens in
+/// first-use order.
+fn side_tokens(
+    ctx: &MatchContext<'_>,
+    engine: &NameEngine,
+    schema: &Schema,
+    paths: &PathSet,
+) -> (Vec<u32>, IdLists, Vec<String>) {
+    let (name_of, names) = distinct_keys(paths.iter().map(|p| paths.name(schema, p)));
+    let sets: Vec<_> = names.iter().map(|n| ctx.token_set(engine, n)).collect();
+    let (ids, tokens) = distinct_keys(sets.iter().flat_map(|set| set.iter()));
+    let ends = sets.iter().scan(0, |end, set| {
+        *end += set.len();
+        Some(*end)
+    });
+    let offsets = std::iter::once(0).chain(ends).collect();
+    let tokens = tokens.into_iter().cloned().collect();
+    (name_of, IdLists { offsets, ids }, tokens)
+}
+
+/// One task's token table for one token-pair function (module docs).
+///
+/// Token ids are per side; `same` maps every source token to the id of
+/// the equal target token (`u32::MAX` if none), so two lists spell the
+/// same token sequence exactly when they map onto each other pairwise.
+pub(crate) struct TokenTable {
+    src: Side,
+    tgt: Side,
+    same: Vec<u32>,
+    /// Target token count (the row stride of `sims`).
+    cols: usize,
+    /// Row-major source-token × target-token pair similarities.
     sims: Vec<f64>,
 }
 
 impl TokenTable {
-    fn new(
-        ctx: &MatchContext<'_>,
-        engine: &NameEngine,
-        src_sets: &[Arc<Vec<String>>],
-        tgt_sets: &[Arc<Vec<String>>],
-    ) -> TokenTable {
-        let (src_ids, src_tokens) = index_tokens(src_sets);
-        let (tgt_ids, tgt_tokens) = index_tokens(tgt_sets);
-        let tt = tgt_tokens.len();
-        let mut sims = vec![0.0; src_tokens.len() * tt];
-        for (a, &ta) in src_tokens.iter().enumerate() {
-            for (b, &tb) in tgt_tokens.iter().enumerate() {
-                sims[a * tt + b] = engine.token_pair_similarity(ta, tb, ctx.aux);
+    /// Builds the table over every path of both sides.
+    fn build(ctx: &MatchContext<'_>, engine: &NameEngine) -> TokenTable {
+        let (src_name_of, src_names, src_tokens) =
+            side_tokens(ctx, engine, ctx.source, ctx.source_paths);
+        let (tgt_name_of, tgt_names, tgt_tokens) =
+            side_tokens(ctx, engine, ctx.target, ctx.target_paths);
+        let tgt_ids: HashMap<&str, u32> = tgt_tokens.iter().map(String::as_str).zip(0..).collect();
+        let same = src_tokens
+            .iter()
+            .map(|t| tgt_ids.get(t.as_str()).copied().unwrap_or(u32::MAX))
+            .collect();
+        let sims = src_tokens
+            .iter()
+            .flat_map(|a| {
+                let row = tgt_tokens.iter();
+                row.map(move |b| engine.token_pair_similarity(a, b, ctx.aux))
+            })
+            .collect();
+        let side = |name_of: Vec<u32>, names: IdLists, paths: &PathSet| {
+            let long = long_name_ids(paths, |p| names.get(name_of[p] as usize));
+            Side {
+                name_of,
+                names,
+                paths: long,
             }
-        }
+        };
         TokenTable {
-            src_ids,
-            tgt_ids,
-            tgt_tokens: tt,
+            src: side(src_name_of, src_names, ctx.source_paths),
+            tgt: side(tgt_name_of, tgt_names, ctx.target_paths),
+            same,
+            cols: tgt_tokens.len(),
             sims,
         }
     }
 
-    /// The combined similarity of source set `a` (tokens `t1`) and target
-    /// set `b` (tokens `t2`).
-    fn similarity(
-        &self,
-        engine: &NameEngine,
-        a: usize,
-        b: usize,
-        t1: &[String],
-        t2: &[String],
-    ) -> f64 {
-        let (ids1, ids2) = (&self.src_ids[a], &self.tgt_ids[b]);
-        engine.combine_token_sims_by(t1, t2, |x, y| {
-            self.sims[ids1[x] * self.tgt_tokens + ids2[y]]
+    /// The combined similarity of source token list `a` and target token
+    /// list `b`: steps 2+3 over table lookups, value-identical to
+    /// [`NameEngine::token_set_similarity`] of the token sets they spell.
+    fn combine(&self, engine: &NameEngine, a: &[u32], b: &[u32]) -> f64 {
+        let identical =
+            a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| self.same[x as usize] == y);
+        engine.combine_token_sims_by((a.len(), b.len()), identical, |x, y| {
+            self.sims[a[x] as usize * self.cols + b[y] as usize]
         })
     }
+
+    /// The name similarity of source path `i` and target path `j`.
+    fn name_sim(&self, engine: &NameEngine, i: usize, j: usize) -> f64 {
+        self.combine(engine, self.src.name(i), self.tgt.name(j))
+    }
+
+    /// The long-name similarity of source path `i` and target path `j`.
+    fn path_sim(&self, engine: &NameEngine, i: usize, j: usize) -> f64 {
+        self.combine(engine, self.src.paths.get(i), self.tgt.paths.get(j))
+    }
+
+    /// The row-major `src_names × (every target name)` table of name
+    /// similarities, for source name ids `src_names`.
+    fn name_pairs(&self, engine: &NameEngine, src_names: &[u32]) -> Vec<f64> {
+        let tgt = &self.tgt.names;
+        let mut table = Vec::with_capacity(src_names.len() * tgt.len());
+        for &a in src_names {
+            let a = self.src.names.get(a as usize);
+            // Clamped like `cells` and `SparseBuilder::push`, so the
+            // sparse==dense bit-identity holds even for exotic engines.
+            table.extend(
+                (0..tgt.len()).map(|b| self.combine(engine, a, tgt.get(b)).clamp(0.0, 1.0)),
+            );
+        }
+        table
+    }
 }
 
-/// The row-major `src_names × tgt_names` table of name similarities,
-/// computed in two deduplicated levels: a [`TokenTable`] over the names'
-/// distinct tokens, then one steps-2+3 combination per distinct name
-/// pair. The combination is cheap enough that routing it through the
-/// shared name-pair cache would cost more in key allocations and hashing
-/// than it saves — the table is computed directly.
-fn name_sim_table(
+/// The task's [`TokenTable`] for `engine`: the memo's (built at most once
+/// per task and token-pair function) when one is attached, else one
+/// built for this call.
+fn token_table(ctx: &MatchContext<'_>, engine: &NameEngine) -> Arc<TokenTable> {
+    match ctx.memo {
+        Some(memo) => memo.token_table(engine, || TokenTable::build(ctx, engine)),
+        None => Arc::new(TokenTable::build(ctx, engine)),
+    }
+}
+
+/// Source rows `rows` of a cell-local matcher, cell `(i, j)` valued
+/// `cell(i, j)`: every column into dense storage when the context is
+/// unrestricted, only the allowed cells straight into CSR storage (never
+/// an `m × n` buffer) under a restriction.
+fn cells(
     ctx: &MatchContext<'_>,
-    engine: &NameEngine,
-    src_names: &[&str],
-    tgt_names: &[&str],
-) -> Vec<f64> {
-    let src_tokens: Vec<Arc<Vec<String>>> =
-        src_names.iter().map(|a| ctx.token_set(engine, a)).collect();
-    let tgt_tokens: Vec<Arc<Vec<String>>> =
-        tgt_names.iter().map(|b| ctx.token_set(engine, b)).collect();
-    let tokens = TokenTable::new(ctx, engine, &src_tokens, &tgt_tokens);
-    let mut table = vec![0.0; src_names.len() * tgt_names.len()];
-    for (a, t1) in src_tokens.iter().enumerate() {
-        for (b, t2) in tgt_tokens.iter().enumerate() {
-            // Clamped like the restricted path's `SimMatrix::set`, so the
-            // sparse==dense bit-identity holds even for exotic engines.
-            table[a * tgt_names.len() + b] =
-                tokens.similarity(engine, a, b, t1, t2).clamp(0.0, 1.0);
+    rows: Range<usize>,
+    cell: impl Fn(usize, usize) -> f64,
+) -> SimMatrix {
+    let n = ctx.cols();
+    let Some(mask) = ctx.restriction else {
+        let mut out = SimMatrix::new(rows.len(), n);
+        for (li, i) in rows.enumerate() {
+            for (j, dst) in out.row_mut(li).iter_mut().enumerate() {
+                *dst = cell(i, j).clamp(0.0, 1.0);
+            }
+        }
+        return out;
+    };
+    let mut out = SparseBuilder::new(rows.len(), n);
+    for (li, i) in rows.enumerate() {
+        for j in mask.allowed_in_row(i) {
+            out.push(li, j, cell(i, j));
         }
     }
-    table
-}
-
-/// The token sets of the long (dotted-path) names of source rows `rows`
-/// (`source` true) or of every target column, each paired with its long
-/// name.
-fn long_name_tokens(
-    ctx: &MatchContext<'_>,
-    engine: &NameEngine,
-    source: bool,
-    rows: std::ops::Range<usize>,
-) -> Vec<(String, Arc<Vec<String>>)> {
-    rows.map(|i| {
-        let long = if source {
-            ctx.source_paths
-                .join_names(ctx.source, ctx.source_elem(i), " ")
-        } else {
-            ctx.target_paths
-                .join_names(ctx.target, ctx.target_elem(i), " ")
-        };
-        let tokens = ctx.token_set(engine, &long);
-        (long, tokens)
-    })
-    .collect()
+    out.finish()
 }
 
 /// The hybrid `Name` matcher: tokenization, abbreviation expansion and a
@@ -188,49 +283,26 @@ impl Matcher for NameMatcher {
     }
 
     fn compute(&self, ctx: &MatchContext<'_>) -> SimMatrix {
-        let mut cache = ctx.name_sim_cache(&self.engine);
-        if let Some(mask) = ctx.restriction {
-            // Sparse: only the allowed cells, straight through the cache,
-            // built directly into CSR storage (never an m × n buffer).
-            let mut b = SparseBuilder::new(ctx.rows(), ctx.cols());
-            for i in 0..ctx.rows() {
-                let a = ctx.source_name(i);
-                for j in mask.allowed_in_row(i) {
-                    let t = ctx.target_name(j);
-                    let sim = cache.get_or_compute(a, t, || self.engine.similarity(a, t, ctx.aux));
-                    b.push(i, j, sim);
-                }
-            }
-            b.finish()
-        } else {
-            // Dense: one similarity per distinct name pair, fanned out to
-            // every cell that shares it.
-            self.compute_rows(ctx, 0..ctx.rows())
-        }
+        self.compute_rows(ctx, 0..ctx.rows())
     }
 
-    /// A contiguous block of rows of the dense matrix, doing only the
-    /// tokenization and similarity-table work those rows need. Each cell
-    /// depends only on its own (name, name) pair, so the block is
-    /// bit-identical to the same rows of [`Matcher::compute`].
-    fn compute_rows(&self, ctx: &MatchContext<'_>, rows: std::ops::Range<usize>) -> SimMatrix {
+    /// A contiguous block of rows. Masked: each allowed cell folds the
+    /// token table. Dense: one similarity per distinct name pair of these
+    /// rows, fanned out to every cell that shares it. Each cell depends
+    /// only on its own (name, name) pair, so the block is bit-identical
+    /// to the same rows of [`Matcher::compute`].
+    fn compute_rows(&self, ctx: &MatchContext<'_>, rows: Range<usize>) -> SimMatrix {
+        let table = token_table(ctx, &self.engine);
         if ctx.restriction.is_some() {
-            // The engine only shards unrestricted computes; stay correct
-            // for any other caller by slicing the restricted result.
-            return self.compute(ctx).row_range(rows);
+            return cells(ctx, rows, |i, j| table.name_sim(&self.engine, i, j));
         }
-        let mut out = SimMatrix::new(rows.len(), ctx.cols());
-        let (src_ids, src_names) = distinct_keys(rows.clone().map(|i| ctx.source_name(i)));
-        let (tgt_ids, tgt_names) = distinct_keys((0..ctx.cols()).map(|j| ctx.target_name(j)));
-        let table = name_sim_table(ctx, &self.engine, &src_names, &tgt_names);
-        for (i, &a_id) in src_ids.iter().enumerate() {
-            let base = a_id * tgt_names.len();
-            let row = out.row_mut(i);
-            for (dst, &b_id) in row.iter_mut().zip(&tgt_ids) {
-                *dst = table[base + b_id];
-            }
-        }
-        out
+        let (src_keys, src_names) = distinct_keys(rows.clone().map(|i| table.src.name_of[i]));
+        let names = table.name_pairs(&self.engine, &src_names);
+        let stride = table.tgt.names.len();
+        let start = rows.start;
+        cells(ctx, rows, |i, j| {
+            names[src_keys[i - start] as usize * stride + table.tgt.name_of[j] as usize]
+        })
     }
 
     fn cell_local(&self) -> bool {
@@ -265,74 +337,24 @@ impl NamePathMatcher {
     }
 }
 
-impl NamePathMatcher {
-    fn token_table(
-        &self,
-        ctx: &MatchContext<'_>,
-        src: &[(String, Arc<Vec<String>>)],
-        tgt: &[(String, Arc<Vec<String>>)],
-    ) -> TokenTable {
-        let sets = |side: &[(String, Arc<Vec<String>>)]| -> Vec<Arc<Vec<String>>> {
-            side.iter().map(|(_, t)| Arc::clone(t)).collect()
-        };
-        TokenTable::new(ctx, &self.engine, &sets(src), &sets(tgt))
-    }
-}
-
 impl Matcher for NamePathMatcher {
     fn name(&self) -> &str {
         "NamePath"
     }
 
     fn compute(&self, ctx: &MatchContext<'_>) -> SimMatrix {
-        let Some(mask) = ctx.restriction else {
-            return self.compute_rows(ctx, 0..ctx.rows());
-        };
-        // Sparse: allowed cells only, straight into CSR storage. Long
-        // path names never repeat, but their *tokens* come from a
-        // bounded vocabulary — so token-pair similarities are computed
-        // once per distinct token pair (like the dense `Name` path) and each
-        // allowed cell only pays the steps-2+3 combination over table
-        // lookups, through the shared name-pair cache.
-        let src = long_name_tokens(ctx, &self.engine, true, 0..ctx.rows());
-        let tgt = long_name_tokens(ctx, &self.engine, false, 0..ctx.cols());
-        let tokens = self.token_table(ctx, &src, &tgt);
-        let mut cache = ctx.name_sim_cache(&self.engine);
-        let mut builder = SparseBuilder::new(ctx.rows(), ctx.cols());
-        for (i, (a, t1)) in src.iter().enumerate() {
-            for j in mask.allowed_in_row(i) {
-                let (b, t2) = &tgt[j];
-                let sim =
-                    cache.get_or_compute(a, b, || tokens.similarity(&self.engine, i, j, t1, t2));
-                builder.push(i, j, sim);
-            }
-        }
-        builder.finish()
+        self.compute_rows(ctx, 0..ctx.rows())
     }
 
-    /// A contiguous block of rows of the dense matrix: the long names and
-    /// token sets of only those source paths, against every target path.
-    /// Each cell's similarity is a pure function of its two long names
-    /// (the shared name-pair cache merely avoids recomputation), so the
-    /// block is bit-identical to the same rows of [`Matcher::compute`].
-    fn compute_rows(&self, ctx: &MatchContext<'_>, rows: std::ops::Range<usize>) -> SimMatrix {
-        if ctx.restriction.is_some() {
-            // The engine only shards unrestricted computes; stay correct
-            // for any other caller by slicing the restricted result.
-            return self.compute(ctx).row_range(rows);
-        }
-        let src = long_name_tokens(ctx, &self.engine, true, rows);
-        let tgt = long_name_tokens(ctx, &self.engine, false, 0..ctx.cols());
-        let mut cache = ctx.name_sim_cache(&self.engine);
-        let mut out = SimMatrix::new(src.len(), ctx.cols());
-        for (i, (a, t1)) in src.iter().enumerate() {
-            for (j, (b, t2)) in tgt.iter().enumerate() {
-                let sim = cache
-                    .get_or_compute(a, b, || self.engine.token_set_similarity(t1, t2, ctx.aux));
-                out.set(i, j, sim);
-            }
-        }
-        out
+    /// A contiguous block of rows: long path names never repeat, but
+    /// their tokens come from a bounded vocabulary, so every allowed cell
+    /// (every cell, when unrestricted) folds the token table over its two
+    /// paths' long-name token lists. Each cell depends only on its own
+    /// pair, so the block is bit-identical to the same rows of
+    /// [`Matcher::compute`].
+    fn compute_rows(&self, ctx: &MatchContext<'_>, rows: Range<usize>) -> SimMatrix {
+        let table = token_table(ctx, &self.engine);
+        cells(ctx, rows, |i, j| table.path_sim(&self.engine, i, j))
     }
 
     fn cell_local(&self) -> bool {
@@ -391,55 +413,26 @@ impl Matcher for TypeNameMatcher {
     }
 
     fn compute(&self, ctx: &MatchContext<'_>) -> SimMatrix {
-        let total = self.name_weight + self.type_weight;
-        let mut cache = ctx.name_sim_cache(&self.engine);
-        if let Some(mask) = ctx.restriction {
-            // Sparse: only the allowed cells, straight through the cache,
-            // built directly into CSR storage.
-            let mut b = SparseBuilder::new(ctx.rows(), ctx.cols());
-            for i in 0..ctx.rows() {
-                let a_name = ctx.source_name(i);
-                let a_type = ctx
-                    .source
-                    .node(ctx.source_paths.node_of(ctx.source_elem(i)))
-                    .datatype;
-                for j in mask.allowed_in_row(i) {
-                    let b_name = ctx.target_name(j);
-                    let b_type = ctx
-                        .target
-                        .node(ctx.target_paths.node_of(ctx.target_elem(j)))
-                        .datatype;
-                    let name_sim = cache
-                        .get_or_compute(a_name, b_name, || {
-                            self.engine.similarity(a_name, b_name, ctx.aux)
-                        })
-                        .clamp(0.0, 1.0);
-                    let type_sim = ctx.aux.type_compat.similarity_opt(a_type, b_type);
-                    b.push(
-                        i,
-                        j,
-                        (self.name_weight * name_sim + self.type_weight * type_sim) / total,
-                    );
-                }
-            }
-            b.finish()
-        } else {
-            self.compute_rows(ctx, 0..ctx.rows())
-        }
+        self.compute_rows(ctx, 0..ctx.rows())
     }
 
-    /// A contiguous block of rows of the dense matrix: a fan-out of the
-    /// keyed (name, datatype)-profile table — the task's memoized one
-    /// when a reader (`Children`/`Leaves`) already built it, else one
-    /// over only these rows, so a row shard never builds (or waits on)
-    /// the whole task's table. Each cell depends only on its own pair of
-    /// profiles, so the block is bit-identical to the same rows of
-    /// [`Matcher::compute`].
-    fn compute_rows(&self, ctx: &MatchContext<'_>, rows: std::ops::Range<usize>) -> SimMatrix {
+    /// A contiguous block of rows. Masked: each allowed cell weighs its
+    /// token-table name similarity with its datatype compatibility.
+    /// Dense: a fan-out of the keyed (name, datatype)-profile table — the
+    /// task's memoized one when a reader (`Children`/`Leaves`) already
+    /// built it, else one over only these rows, so a row shard never
+    /// builds (or waits on) the whole task's table. Each cell depends
+    /// only on its own pair of profiles, so the block is bit-identical to
+    /// the same rows of [`Matcher::compute`].
+    fn compute_rows(&self, ctx: &MatchContext<'_>, rows: Range<usize>) -> SimMatrix {
         if ctx.restriction.is_some() {
-            // The engine only shards unrestricted computes; stay correct
-            // for any other caller by slicing the restricted result.
-            return self.compute(ctx).row_range(rows);
+            let table = token_table(ctx, &self.engine);
+            return cells(ctx, rows, |i, j| {
+                let a_type = datatype(ctx.source, ctx.source_paths, ctx.source_elem(i));
+                let b_type = datatype(ctx.target, ctx.target_paths, ctx.target_elem(j));
+                let type_sim = ctx.aux.type_compat.similarity_opt(a_type, b_type);
+                self.weigh(table.name_sim(&self.engine, i, j), type_sim)
+            });
         }
         let cached = ctx
             .memo
@@ -470,58 +463,62 @@ impl Matcher for TypeNameMatcher {
     }
 }
 
-/// The (element name, datatype) profile of path `id`: every `TypeName`
-/// value depends on its two paths only through their profiles.
-fn profile<'s>(schema: &'s Schema, paths: &'s PathSet, id: PathId) -> (&'s str, Option<DataType>) {
-    (
-        paths.name(schema, id),
-        schema.node(paths.node_of(id)).datatype,
-    )
+/// The datatype of the node path `id` ends at.
+fn datatype(schema: &Schema, paths: &PathSet, id: PathId) -> Option<DataType> {
+    schema.node(paths.node_of(id)).datatype
 }
 
 impl TypeNameMatcher {
     /// The number of distinct (name, datatype) profiles among `paths` —
     /// the row (source) or column (target) count of the keyed table.
     pub fn profile_count(schema: &Schema, paths: &PathSet) -> usize {
-        distinct_keys(paths.iter().map(|id| profile(schema, paths, id)))
-            .1
-            .len()
+        distinct_keys(
+            paths
+                .iter()
+                .map(|id| (paths.name(schema, id), datatype(schema, paths, id))),
+        )
+        .1
+        .len()
+    }
+
+    /// The weighted combination of a name and a datatype similarity.
+    fn weigh(&self, name_sim: f64, type_sim: f64) -> f64 {
+        (self.name_weight * name_sim.clamp(0.0, 1.0) + self.type_weight * type_sim)
+            / (self.name_weight + self.type_weight)
     }
 
     /// The keyed table of source rows `rows` against every target column:
     /// one weighted similarity per distinct (name, datatype) profile
     /// pair, keyed by each path's profile.
-    fn profile_table(&self, ctx: &MatchContext<'_>, rows: std::ops::Range<usize>) -> KeyedSims {
-        let total = self.name_weight + self.type_weight;
-        let (src_ids, src_profiles) =
-            distinct_keys(rows.map(|i| profile(ctx.source, ctx.source_paths, ctx.source_elem(i))));
-        let (tgt_ids, tgt_profiles) = distinct_keys(
-            (0..ctx.cols()).map(|j| profile(ctx.target, ctx.target_paths, ctx.target_elem(j))),
-        );
+    fn profile_table(&self, ctx: &MatchContext<'_>, rows: Range<usize>) -> KeyedSims {
+        let table = token_table(ctx, &self.engine);
+        // Every value depends on its two paths only through their
+        // (element name, datatype) profiles.
+        let profile = |side: &Side, schema: &Schema, paths: &PathSet, id: PathId| {
+            (side.name_of[id.index()], datatype(schema, paths, id))
+        };
+        let src = ctx.source_paths.iter().skip(rows.start).take(rows.len());
+        let (src_keys, src_profiles) =
+            distinct_keys(src.map(|id| profile(&table.src, ctx.source, ctx.source_paths, id)));
+        let tgt = ctx.target_paths.iter();
+        let (tgt_keys, tgt_profiles) =
+            distinct_keys(tgt.map(|id| profile(&table.tgt, ctx.target, ctx.target_paths, id)));
         // Name similarities deduplicate one level further (profiles
         // with different datatypes share their name's value).
-        let (src_name_ids, src_names) = distinct_keys(src_profiles.iter().map(|&(name, _)| name));
-        let (tgt_name_ids, tgt_names) = distinct_keys(tgt_profiles.iter().map(|&(name, _)| name));
-        let names = name_sim_table(ctx, &self.engine, &src_names, &tgt_names);
-        let mut table = SimMatrix::new(src_profiles.len(), tgt_profiles.len());
-        for (a_id, &(_, a_type)) in src_profiles.iter().enumerate() {
-            let name_row = &names[src_name_ids[a_id] * tgt_names.len()..];
-            let row = table.row_mut(a_id);
-            for ((dst, &(_, b_type)), &b_name) in
-                row.iter_mut().zip(&tgt_profiles).zip(&tgt_name_ids)
-            {
+        let (src_name_keys, src_names) = distinct_keys(src_profiles.iter().map(|&(name, _)| name));
+        let names = table.name_pairs(&self.engine, &src_names);
+        let stride = table.tgt.names.len();
+        let mut keyed = SimMatrix::new(src_profiles.len(), tgt_profiles.len());
+        for (a, &(_, a_type)) in src_profiles.iter().enumerate() {
+            let name_row = &names[src_name_keys[a] as usize * stride..];
+            for (dst, &(b_name, b_type)) in keyed.row_mut(a).iter_mut().zip(&tgt_profiles) {
                 let type_sim = ctx.aux.type_compat.similarity_opt(a_type, b_type);
-                *dst = ((self.name_weight * name_row[b_name] + self.type_weight * type_sim)
-                    / total)
+                *dst = self
+                    .weigh(name_row[b_name as usize], type_sim)
                     .clamp(0.0, 1.0);
             }
         }
-        let keys = |ids: Vec<usize>| -> Vec<u32> {
-            ids.into_iter()
-                .map(|k| u32::try_from(k).expect("more than u32::MAX profiles"))
-                .collect()
-        };
-        KeyedSims::new(keys(src_ids), keys(tgt_ids), table)
+        KeyedSims::new(src_keys, tgt_keys, keyed)
     }
 }
 
@@ -718,6 +715,30 @@ mod tests {
         // PO2 repeats Street/City/Zip under DeliverTo and BillTo.
         assert!(stats.target_profiles < ctx.cols());
         assert_eq!(keyed.fan_out(0..ctx.rows()), tn.compute(&ctx));
+    }
+
+    /// One memoized token table per token-pair function: engines that
+    /// differ only in selection or combination share it, a different
+    /// aggregation gets its own.
+    #[test]
+    fn token_tables_key_on_the_token_pair_function() {
+        let (s1, s2, aux) = (po1(), po2(), aux());
+        let (p1, p2) = (PathSet::new(&s1).unwrap(), PathSet::new(&s2).unwrap());
+        let memo = crate::MatchMemo::new();
+        let ctx = MatchContext::new(&s1, &s2, &p1, &p2, &aux).with_memo(&memo);
+        let dice = NameEngine {
+            combined: crate::CombinedSim::Dice,
+            ..NameEngine::paper_default()
+        };
+        NameMatcher::new().compute(&ctx);
+        NamePathMatcher::with_engine(dice).compute(&ctx);
+        assert_eq!(memo.cache().stats().token_tables, 1);
+        let min = NameEngine {
+            aggregation: crate::combine::Aggregation::Min,
+            ..NameEngine::paper_default()
+        };
+        NameMatcher::with_engine(min).compute(&ctx);
+        assert_eq!(memo.cache().stats().token_tables, 2);
     }
 
     #[test]

@@ -133,27 +133,29 @@ impl NameEngine {
         value.clamp(0.0, 1.0)
     }
 
-    /// Steps 2+3 over a token-pair similarity lookup (`lookup(i, j)` =
-    /// [`NameEngine::token_pair_similarity`] of `t1[i]`, `t2[j]`), e.g.
-    /// reads of a distinct-token table. The paper-default `Both`/`Max1`
-    /// combination runs once per distinct name pair of a match task, so
-    /// it folds the lookups through the shared allocation-free pipeline
-    /// (value-identical to select + compute); other configurations fill
-    /// a token matrix and select from it.
+    /// Steps 2+3 over a token-pair similarity lookup for two token sets
+    /// of `lens.0` and `lens.1` tokens (`lookup(i, j)` =
+    /// [`NameEngine::token_pair_similarity`] of the `i`-th and `j`-th
+    /// token), e.g. reads of a distinct-token table; `identical` says
+    /// whether the two sets are the same token sequence. The
+    /// paper-default `Both`/`Max1` combination folds the lookups through
+    /// the shared allocation-free pipeline (value-identical to select +
+    /// compute); other configurations fill a token matrix and select
+    /// from it.
     pub fn combine_token_sims_by(
         &self,
-        t1: &[String],
-        t2: &[String],
+        (n1, n2): (usize, usize),
+        identical: bool,
         lookup: impl Fn(usize, usize) -> f64,
     ) -> f64 {
-        if let Some(trivial) = trivial_combination(t1, t2) {
+        if let Some(trivial) = trivial_combination(n1, n2, identical) {
             return trivial;
         }
         if self.is_both_max1() {
-            return crate::combine::max1_both_combined(t1.len(), t2.len(), lookup, self.combined);
+            return crate::combine::max1_both_combined(n1, n2, lookup, self.combined);
         }
-        let mut sims = SimMatrix::new(t1.len(), t2.len());
-        for i in 0..t1.len() {
+        let mut sims = SimMatrix::new(n1, n2);
+        for i in 0..n1 {
             for (j, dst) in sims.row_mut(i).iter_mut().enumerate() {
                 *dst = lookup(i, j);
             }
@@ -165,7 +167,7 @@ impl NameEngine {
     /// pair is scored once into a matrix (the `Both`/`Max1` fold reads
     /// every cell twice), then combined.
     pub fn token_set_similarity(&self, t1: &[String], t2: &[String], aux: &Auxiliary) -> f64 {
-        if let Some(trivial) = trivial_combination(t1, t2) {
+        if let Some(trivial) = trivial_combination(t1.len(), t2.len(), t1 == t2) {
             return trivial;
         }
         let mut sims = SimMatrix::new(t1.len(), t2.len());
@@ -205,16 +207,17 @@ impl NameEngine {
     }
 }
 
-/// The early outs of every token-set combination: two empty sets match
-/// fully, one empty set not at all, and identical sets fully.
-fn trivial_combination(t1: &[String], t2: &[String]) -> Option<f64> {
-    if t1.is_empty() && t2.is_empty() {
+/// The early outs of every token-set combination of an `n1`- and an
+/// `n2`-token set: two empty sets match fully, one empty set not at all,
+/// and identical sets fully.
+fn trivial_combination(n1: usize, n2: usize, identical: bool) -> Option<f64> {
+    if n1 == 0 && n2 == 0 {
         return Some(1.0);
     }
-    if t1.is_empty() || t2.is_empty() {
+    if n1 == 0 || n2 == 0 {
         return Some(0.0);
     }
-    (t1 == t2).then_some(1.0)
+    identical.then_some(1.0)
 }
 
 impl Default for NameEngine {
@@ -282,30 +285,12 @@ mod tests {
         assert_eq!(toks, vec!["ship", "to", "date"]);
     }
 
-    #[test]
-    fn cached_similarity_is_consistent() {
-        // The memoized path (NameSimCache, as used by the hybrid matchers)
-        // agrees with the direct computation.
-        let e = NameEngine::paper_default();
-        let a = aux();
-        let mut cache = crate::engine::NameSimCache::local();
-        let s1 = cache.get_or_compute("ShipTo", "DeliverTo", || {
-            e.similarity("ShipTo", "DeliverTo", &a)
-        });
-        let s2 = cache.get_or_compute("ShipTo", "DeliverTo", || panic!("must hit the cache"));
-        assert_eq!(s1, s2);
-        assert_eq!(s1, e.similarity("ShipTo", "DeliverTo", &a));
-    }
-
     /// The `Both`/`Max1` fast path inside `combine_token_sims_by` computes
     /// exactly what the generic select + compute pipeline computes.
     #[test]
     fn combine_fast_path_matches_generic_pipeline() {
         use crate::combine::DirectedCandidates;
-        let toks =
-            |names: &[&str]| -> Vec<String> { names.iter().map(|s| s.to_string()).collect() };
-        let t1 = toks(&["ship", "to", "city"]);
-        let t2 = toks(&["deliver", "town"]);
+        // Tokens (ship, to, city) against (deliver, town).
         let mut sims = SimMatrix::new(3, 2);
         sims.set(0, 0, 1.0); // ship ↔ deliver (synonym)
         sims.set(2, 1, 0.5); // city ↔ town
@@ -315,9 +300,9 @@ mod tests {
                 combined,
                 ..NameEngine::paper_default()
             };
-            let fast = engine.combine_token_sims_by(&t1, &t2, |i, j| sims.get(i, j));
+            let fast = engine.combine_token_sims_by((3, 2), false, |i, j| sims.get(i, j));
             let cands = DirectedCandidates::select(&sims, engine.direction, &engine.selection);
-            let generic = engine.combined.compute(&cands, t1.len(), t2.len());
+            let generic = engine.combined.compute(&cands, 3, 2);
             assert_eq!(fast, generic, "{combined:?}");
         }
     }

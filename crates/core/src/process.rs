@@ -209,7 +209,7 @@ impl Coma {
     /// cross-request [`EngineCache`]
     /// (see [`PlanEngine::execute_cached`]): repeat calls against the
     /// same schemas — by content, not allocation — skip tokenization,
-    /// name-pair scoring, pure matcher matrices and vocabulary-index
+    /// token-pair scoring, pure matcher matrices and vocabulary-index
     /// builds. The cache must be dedicated to this instance's auxiliary
     /// configuration and matcher library.
     pub fn match_plan_cached(

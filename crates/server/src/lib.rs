@@ -17,7 +17,7 @@
 //!   `Arc<Schema>` allocations, and the engine row-shards big stages
 //!   across its own threads.
 //! * **Cross-request memo** — every tenant owns a
-//!   [`coma_core::EngineCache`]: tokenizations, name-pair similarity
+//!   [`coma_core::EngineCache`]: tokenizations, the name matchers' token
 //!   tables, pure matcher matrices and vocabulary indexes are keyed by
 //!   schema *content fingerprint*, so repeat traffic against a hot
 //!   schema pair skips recomputation entirely (the per-execution

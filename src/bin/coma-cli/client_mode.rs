@@ -211,8 +211,8 @@ fn print_response(response: Response, json: bool) -> ExitCode {
             );
             println!(
                 "cache: {} matrix hits / {} misses, {} keyed-table hits / {} misses, \
-                 {} index hits / {} misses, {} matrices, {} keyed tables, {} indexes, \
-                 {} token sets",
+                 {} index hits / {} misses, {} matrices, {} keyed tables, {} token tables, \
+                 {} indexes, {} token sets",
                 stats.cache.matrix_hits,
                 stats.cache.matrix_misses,
                 stats.cache.keyed_hits,
@@ -221,6 +221,7 @@ fn print_response(response: Response, json: bool) -> ExitCode {
                 stats.cache.index_misses,
                 stats.cache.matrix_entries,
                 stats.cache.keyed_entries,
+                stats.cache.token_tables,
                 stats.cache.index_entries,
                 stats.cache.token_entries
             );

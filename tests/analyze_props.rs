@@ -21,10 +21,12 @@ use coma::core::plans::{
     candidate_index_plan, fused_filter_plan, liberal_name_stage, topk_pruned_plan,
 };
 use coma::core::{
-    Coma, CombinationStrategy, EngineConfig, MatchContext, MatchPlan, MatchStrategy, PairMask,
-    PlanAnalyzer, PlanEngine, Selection, TaskStats, TopKPer, Tri,
+    schema_fingerprint, Coma, CombinationStrategy, EngineCache, EngineConfig, MatchContext,
+    MatchPlan, MatchStrategy, PairMask, PlanAnalyzer, PlanEngine, Selection, TaskStats, TopKPer,
+    Tri,
 };
-use coma::graph::PathSet;
+use coma::eval::{Corpus, TASKS};
+use coma::graph::{PathSet, Schema};
 use coma_bench::alloc_track::{measure_peak, CountingAllocator};
 use coma_bench::workload::{generate_task, WorkloadShape, WorkloadSpec};
 
@@ -273,5 +275,55 @@ fn fused_typename_stage_on_catalog_task_peaks_below_one_dense_matrix() {
                 run.measured_peak
             );
         }
+    }
+}
+
+/// The flat paper-default `All` plan — `Name`, `NamePath` and `TypeName`
+/// over one shared token table, plus the structural matchers — on
+/// `star400` and on the corpus task with the most cells, through
+/// `execute_cached` with a shared `EngineCache`: the cold execution
+/// (which builds the token table) and the warm repeat both stay within
+/// the predicted bound, which charges that table once.
+#[test]
+fn flat_paper_default_through_a_shared_cache_stays_within_bound() {
+    let _window = WINDOW.lock().unwrap();
+    let coma = Coma::new();
+    let plan = MatchPlan::from(&MatchStrategy::paper_default());
+    let star = generate_task(&WorkloadSpec::new(WorkloadShape::Star, 400, 42));
+    let corpus = Corpus::load();
+    let &(ci, cj) = TASKS
+        .iter()
+        .max_by_key(|&&(i, j)| corpus.path_set(i).len() * corpus.path_set(j).len())
+        .unwrap();
+    let tasks: [(&str, &Schema, &Schema); 2] = [
+        ("star400", &star.0, &star.1),
+        ("corpus", corpus.schema(ci), corpus.schema(cj)),
+    ];
+    for (label, source, target) in tasks {
+        let source_paths = PathSet::new(source).unwrap();
+        let target_paths = PathSet::new(target).unwrap();
+        let ctx = MatchContext::new(source, target, &source_paths, &target_paths, coma.aux())
+            .with_repository(coma.repository());
+        let stats = TaskStats::gather(&ctx);
+        let cache = std::sync::Arc::new(EngineCache::new());
+        let analysis = PlanAnalyzer::new(coma.library(), EngineConfig::default())
+            .analyze_with_cache(
+                &plan,
+                &stats,
+                &cache,
+                schema_fingerprint(source, &source_paths),
+                schema_fingerprint(target, &target_paths),
+            );
+        let engine = PlanEngine::new(coma.library());
+        for round in ["cold", "warm"] {
+            let (peak, outcome) = measure_peak(|| engine.execute_cached(&ctx, &plan, &cache));
+            assert!(!outcome.unwrap().result.is_empty(), "{label}/{round}");
+            assert!(
+                (peak as u64) <= analysis.peak_bytes,
+                "{label}/{round}: measured peak {peak} exceeds predicted bound {}",
+                analysis.peak_bytes
+            );
+        }
+        assert_eq!(cache.stats().token_tables, 1, "{label}: one token table");
     }
 }
