@@ -1,5 +1,16 @@
+//! Step 3 of the combination scheme: one combined similarity for two
+//! element sets ([`CombinedSim`]), plus the `Both`/`Max1` kernels that
+//! compute it without materializing candidates: a two-pass form over a
+//! lookup (each value read twice, no buffer: the name engine's token
+//! sets) and a one-pass form over row iterators (each value read once,
+//! bests in a reused per-thread buffer: the structural matchers' leaf
+//! and child sets). Both fold their bests with the same [`fold_bests`],
+//! bit-identical to [`DirectedCandidates::select`] +
+//! [`CombinedSim::compute`].
+
 use super::selection::DirectedCandidates;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -73,86 +84,129 @@ impl CombinedSim {
     }
 }
 
-/// The allocation-free `Both`/`Max1` pipeline over an `m × n` similarity
-/// lookup: per column the best row (strictly greater wins, first index
-/// takes ties — [`best_of`]'s rule), per row the best column, folded into
-/// the combined similarity with exactly the accumulation order of
-/// [`DirectedCandidates::select`] + [`CombinedSim::compute`]. Shared by
-/// the structural matchers' per-cell set similarity and the name engine's
-/// token-set combination — the two hottest inner loops of a match task.
-/// Callers pass pre-clamped lookups (mirroring the `SimMatrix::set` clamp
-/// of the materialized formulation).
+/// The allocation-free two-pass `Both`/`Max1` pipeline over an `m × n`
+/// similarity lookup: per column the best row, per row the best column
+/// (each a strict-greater maximum, [`best_of`]'s rule), folded by
+/// [`fold_bests`] into the combined similarity with exactly the
+/// accumulation order of [`DirectedCandidates::select`] +
+/// [`CombinedSim::compute`]. Every cell is read twice, so this form
+/// suits a cheap lookup over small sets — the name engine's token-set
+/// combination; set similarities over larger sets take the one-pass
+/// [`max1_both_one_pass`]. Callers pass pre-clamped lookups (mirroring
+/// the `SimMatrix::set` clamp of the materialized formulation).
 ///
 /// [`best_of`]: super::selection
+#[inline]
 pub(crate) fn max1_both_combined(
     m: usize,
     n: usize,
     lookup: impl Fn(usize, usize) -> f64,
     combined: CombinedSim,
 ) -> f64 {
-    let best_for_col = |j: usize| -> (usize, f64) {
-        let mut best = (0usize, f64::NEG_INFINITY);
-        for i in 0..m {
-            let v = lookup(i, j);
-            if v > best.1 {
-                best = (i, v);
+    let col_best = |j: usize| (0..m).fold(NO_CANDIDATE, |best, i| max_strict(best, lookup(i, j)));
+    let row_best = |i: usize| (0..n).fold(NO_CANDIDATE, |best, j| max_strict(best, lookup(i, j)));
+    fold_bests(combined, (m, n), col_best, row_best)
+}
+
+thread_local! {
+    /// The one-pass kernel's best-value buffer, reused across calls so a
+    /// set similarity never allocates once the buffer has grown to the
+    /// largest `m + n` seen on the thread.
+    static BESTS: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
+
+/// The one-pass `Both`/`Max1` pipeline: `row(a)` yields the `n`
+/// similarities of the `a`-th source element in target order, and one
+/// sweep over the `m` rows keeps both the row bests and the running
+/// column bests, so every cell is read exactly once — e.g. straight from
+/// a keyed table row indexed by column key. Bit-identical to
+/// [`max1_both_combined`] over the same values: maxima are exact, and
+/// both forms fold their bests with [`fold_bests`] in the same order.
+/// Callers yield pre-clamped values.
+pub(crate) fn max1_both_one_pass<I: Iterator<Item = f64>>(
+    m: usize,
+    n: usize,
+    mut row: impl FnMut(usize) -> I,
+    combined: CombinedSim,
+) -> f64 {
+    BESTS.with(|buffer| {
+        let mut bests = buffer.take();
+        bests.clear();
+        bests.resize(m + n, NO_CANDIDATE);
+        let (col_bests, row_bests) = bests.split_at_mut(n);
+        for (a, row_best) in row_bests.iter_mut().enumerate() {
+            let mut best = NO_CANDIDATE;
+            for (col_best, v) in col_bests.iter_mut().zip(row(a)) {
+                best = max_strict(best, v);
+                *col_best = max_strict(*col_best, v);
             }
+            *row_best = best;
         }
+        let value = fold_bests(combined, (m, n), |j| col_bests[j], |i| row_bests[i]);
+        buffer.set(bests);
+        value
+    })
+}
+
+/// The best value of an element without any candidate yet.
+const NO_CANDIDATE: f64 = f64::NEG_INFINITY;
+
+/// The running maximum under [`best_of`]'s strict-greater rule.
+///
+/// [`best_of`]: super::selection
+#[inline]
+fn max_strict(best: f64, v: f64) -> f64 {
+    if v > best {
+        v
+    } else {
         best
-    };
-    let best_for_row = |i: usize| -> (usize, f64) {
-        let mut best = (0usize, f64::NEG_INFINITY);
-        for j in 0..n {
-            let v = lookup(i, j);
-            if v > best.1 {
-                best = (j, v);
-            }
-        }
-        best
-    };
-    match combined {
+    }
+}
+
+/// Step 3 over the `Max1` bests of both directions of an `m × n` set
+/// pair (`col_best(j)` for target `j`, `row_best(i)` for source `i`); a
+/// best selects a candidate iff it is positive. Average sums the
+/// targets' candidates and the sources' candidates in two accumulators,
+/// in index order, then adds them — the fold shape of
+/// [`CombinedSim::compute`]. Dice counts the elements with a candidate:
+/// an element that is only *some other* element's best has a positive
+/// cell, so its own best is a candidate too, and the matched sets are
+/// exactly the elements with a positive best — no per-element flags
+/// needed. Indexed closures rather than iterators: the name engine calls
+/// this once per name pair on sets of a few tokens, where an iterator
+/// chain measured twice as slow.
+#[inline]
+fn fold_bests(
+    combined: CombinedSim,
+    (m, n): (usize, usize),
+    col_best: impl Fn(usize) -> f64,
+    row_best: impl Fn(usize) -> f64,
+) -> f64 {
+    let value = match combined {
         CombinedSim::Average => {
-            // Two separate accumulators, then one add — the exact fold
-            // shape of `CombinedSim::Average` over the two directional
-            // candidate lists.
             let mut ft_sum = 0.0;
             for j in 0..n {
-                let (_, v) = best_for_col(j);
+                let v = col_best(j);
                 if v > 0.0 {
                     ft_sum += v;
                 }
             }
             let mut fs_sum = 0.0;
             for i in 0..m {
-                let (_, v) = best_for_row(i);
+                let v = row_best(i);
                 if v > 0.0 {
                     fs_sum += v;
                 }
             }
-            ((ft_sum + fs_sum) / (m + n) as f64).clamp(0.0, 1.0)
+            (ft_sum + fs_sum) / (m + n) as f64
         }
         CombinedSim::Dice => {
-            let mut matched_src = vec![false; m];
-            let mut matched_tgt = vec![false; n];
-            for (j, tgt) in matched_tgt.iter_mut().enumerate() {
-                let (i, v) = best_for_col(j);
-                if v > 0.0 {
-                    *tgt = true;
-                    matched_src[i] = true;
-                }
-            }
-            for (i, src) in matched_src.iter_mut().enumerate() {
-                let (j, v) = best_for_row(i);
-                if v > 0.0 {
-                    *src = true;
-                    matched_tgt[j] = true;
-                }
-            }
-            let matched = matched_src.iter().filter(|&&x| x).count()
-                + matched_tgt.iter().filter(|&&x| x).count();
-            (matched as f64 / (m + n) as f64).clamp(0.0, 1.0)
+            let matched = (0..n).filter(|&j| col_best(j) > 0.0).count()
+                + (0..m).filter(|&i| row_best(i) > 0.0).count();
+            matched as f64 / (m + n) as f64
         }
-    }
+    };
+    value.clamp(0.0, 1.0)
 }
 
 impl fmt::Display for CombinedSim {

@@ -20,8 +20,8 @@ mod marriage;
 mod selection;
 
 pub use aggregation::Aggregation;
-pub(crate) use combined::max1_both_combined;
 pub use combined::CombinedSim;
+pub(crate) use combined::{max1_both_combined, max1_both_one_pass};
 pub use marriage::stable_marriage;
 pub(crate) use selection::{directional_wants, rank_entries, sort_desc};
 pub use selection::{DirectedCandidates, Direction, Selection};

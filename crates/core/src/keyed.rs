@@ -31,7 +31,8 @@ use crate::engine::PairMask;
 use std::sync::Arc;
 
 /// A logical `m × n` similarity matrix in keyed form (module docs): cell
-/// `(i, j)` reads `table[row_key(i)][col_key(j)]`.
+/// `(i, j)` reads `table[row_key(i)][col_key(j)]`. The table is stored
+/// dense, so a row key's values are one slice.
 #[derive(Debug, Clone)]
 pub struct KeyedSims {
     row_keys: Vec<u32>,
@@ -41,7 +42,7 @@ pub struct KeyedSims {
 
 impl KeyedSims {
     /// A keyed table: `row_keys[i]` / `col_keys[j]` index the rows and
-    /// columns of `table`.
+    /// columns of `table` (densified if sparse).
     ///
     /// # Panics
     /// Panics if a key is out of the table's bounds.
@@ -54,13 +55,18 @@ impl KeyedSims {
         KeyedSims {
             row_keys,
             col_keys,
-            table: Arc::new(table),
+            table: Arc::new(table.into_dense()),
         }
     }
 
-    /// Identity keys over a full `m × n` matrix (shared, not copied): the
-    /// keyed form of a matcher that has no coarser profile.
+    /// Identity keys over a full `m × n` matrix (shared, not copied, if
+    /// dense): the keyed form of a matcher that has no coarser profile.
     pub fn identity(matrix: Arc<SimMatrix>) -> KeyedSims {
+        let matrix = if matrix.is_sparse() {
+            Arc::new(matrix.to_dense())
+        } else {
+            matrix
+        };
         let key_range = |len: usize| {
             (0..len)
                 .map(|k| u32::try_from(k).expect("more than u32::MAX elements"))
@@ -108,6 +114,12 @@ impl KeyedSims {
         &self.table
     }
 
+    /// The values of row key `row_key` against every column key.
+    #[inline]
+    pub(crate) fn key_row(&self, row_key: usize) -> &[f64] {
+        self.table.row(row_key)
+    }
+
     /// The value of the key pair `(row key, column key)`.
     #[inline]
     pub fn by_keys(&self, row_key: usize, col_key: usize) -> f64 {
@@ -123,9 +135,8 @@ impl KeyedSims {
     /// Rows `rows` of the logical matrix, fanned out into dense storage.
     pub fn fan_out(&self, rows: std::ops::Range<usize>) -> SimMatrix {
         let mut out = SimMatrix::new(rows.len(), self.cols());
-        let mut key_row = vec![0.0; self.table.cols()];
         for (i, src) in rows.enumerate() {
-            self.table.copy_row_into(self.row_key(src), &mut key_row);
+            let key_row = self.key_row(self.row_key(src));
             for (dst, &k) in out.row_mut(i).iter_mut().zip(&self.col_keys) {
                 *dst = key_row[k as usize];
             }

@@ -489,7 +489,11 @@ impl TypeNameMatcher {
 
     /// The keyed table of source rows `rows` against every target column:
     /// one weighted similarity per distinct (name, datatype) profile
-    /// pair, keyed by each path's profile.
+    /// pair, keyed by each path's profile. Each source profile first
+    /// scores its datatype against every distinct target datatype (one
+    /// short type row), so the cell loop only indexes two rows — the
+    /// profile's name-pair row by target name, its type row by target
+    /// datatype — and never probes the type-compatibility map.
     fn profile_table(&self, ctx: &MatchContext<'_>, rows: Range<usize>) -> KeyedSims {
         let table = token_table(ctx, &self.engine);
         // Every value depends on its two paths only through their
@@ -508,13 +512,18 @@ impl TypeNameMatcher {
         let (src_name_keys, src_names) = distinct_keys(src_profiles.iter().map(|&(name, _)| name));
         let names = table.name_pairs(&self.engine, &src_names);
         let stride = table.tgt.names.len();
+        let (tgt_type_keys, tgt_types) = distinct_keys(tgt_profiles.iter().map(|&(_, t)| t));
+        let mut type_row = vec![0.0; tgt_types.len()];
         let mut keyed = SimMatrix::new(src_profiles.len(), tgt_profiles.len());
         for (a, &(_, a_type)) in src_profiles.iter().enumerate() {
+            for (type_sim, &b_type) in type_row.iter_mut().zip(&tgt_types) {
+                *type_sim = ctx.aux.type_compat.similarity_opt(a_type, b_type);
+            }
             let name_row = &names[src_name_keys[a] as usize * stride..];
-            for (dst, &(b_name, b_type)) in keyed.row_mut(a).iter_mut().zip(&tgt_profiles) {
-                let type_sim = ctx.aux.type_compat.similarity_opt(a_type, b_type);
+            let tgt = tgt_profiles.iter().zip(&tgt_type_keys);
+            for (dst, (&(b_name, _), &b_type)) in keyed.row_mut(a).iter_mut().zip(tgt) {
                 *dst = self
-                    .weigh(name_row[b_name as usize], type_sim)
+                    .weigh(name_row[b_name as usize], type_row[b_type as usize])
                     .clamp(0.0, 1.0);
             }
         }

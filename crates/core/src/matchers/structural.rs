@@ -16,6 +16,15 @@
 //! for a leaf matcher without a keyed form — memoized once per task and
 //! shared by every reader, and never fanned out into an `m × n` buffer
 //! on the masked path.
+//!
+//! Each set similarity reads each value once: the paper-default
+//! `Both`/`Max1` combination runs the one-pass kernel
+//! ([`max1_both_one_pass`](crate::combine)) over one row iterator per
+//! element of the first set. For `Leaves` that row is the leaf's keyed
+//! table row indexed by the other set's column keys. For `Children` it
+//! is a row of its dense output, or on the sparse path a keyed table row
+//! in which only inner × inner child pairs are read from the overlay of
+//! computed pairs.
 
 use crate::combine::{CombinedSim, DirectedCandidates, Direction, Selection};
 use crate::cube::{SimMatrix, SparseBuilder};
@@ -59,10 +68,16 @@ impl StructuralConfig {
     }
 
     /// Combined similarity of two element sets of sizes `n1` and `n2`,
-    /// where `lookup(a, b)` is the pairwise similarity of the `a`-th
-    /// element of the first set and the `b`-th of the second — leaf-table
-    /// reads by key, or (for `Children`) reads of computed inner pairs.
-    fn set_similarity_by(&self, n1: usize, n2: usize, lookup: impl Fn(usize, usize) -> f64) -> f64 {
+    /// where `row(a)` yields the similarities of the `a`-th element of the
+    /// first set to every element of the second, in order — a keyed leaf
+    /// table row indexed by column key, or (for `Children`) computed
+    /// inner pairs.
+    fn set_similarity_rows<I: Iterator<Item = f64>>(
+        &self,
+        n1: usize,
+        n2: usize,
+        mut row: impl FnMut(usize) -> I,
+    ) -> f64 {
         if n1 == 0 && n2 == 0 {
             return 1.0;
         }
@@ -70,46 +85,64 @@ impl StructuralConfig {
             return 0.0;
         }
         // The paper-default configuration (`Both`/`Max1`) is the per-cell
-        // inner loop of every structural similarity: take the
-        // allocation-free path that folds candidate sums directly instead
-        // of materializing a sub-matrix plus per-element candidate lists.
-        // Value-identical to the generic path (unit-tested below): the
-        // same strict-greater/first-index-wins best candidate per row and
-        // column, the same clamping, the same summation order.
+        // inner loop of every structural similarity: take the one-pass
+        // kernel that reads each value once and folds candidate sums
+        // directly instead of materializing a sub-matrix plus
+        // per-element candidate lists. Value-identical to the generic
+        // path (unit-tested below): the same strict-greater best
+        // candidate per row and column, the same clamping (mirroring the
+        // `SimMatrix::set` the materialized path performs), the same
+        // summation order.
         if self.direction == Direction::Both && self.selection == Selection::max_n(1) {
-            return self.set_similarity_max1(n1, n2, lookup);
+            return crate::combine::max1_both_one_pass(
+                n1,
+                n2,
+                |a| row(a).map(|v| v.clamp(0.0, 1.0)),
+                self.combined,
+            );
         }
         let mut sub = SimMatrix::new(n1, n2);
         for a in 0..n1 {
-            for b in 0..n2 {
-                sub.set(a, b, lookup(a, b));
+            for (b, v) in row(a).enumerate() {
+                sub.set(a, b, v);
             }
         }
         let candidates = DirectedCandidates::select(&sub, self.direction, &self.selection);
         self.combined.compute(&candidates, n1, n2)
     }
 
-    /// The `Both`/`Max1` fast path of [`StructuralConfig::set_similarity_by`]:
-    /// the shared allocation-free pipeline over a clamped lookup (the
-    /// clamp mirrors the `SimMatrix::set` the materialized path performs).
+    /// [`StructuralConfig::set_similarity_rows`] over a pairwise lookup
+    /// `lookup(a, b)`.
+    #[cfg(test)]
+    fn set_similarity_by(&self, n1: usize, n2: usize, lookup: impl Fn(usize, usize) -> f64) -> f64 {
+        let lookup = &lookup;
+        self.set_similarity_rows(n1, n2, |a| (0..n2).map(move |b| lookup(a, b)))
+    }
+
+    /// The `Both`/`Max1` kernel of [`StructuralConfig::set_similarity_rows`]
+    /// over a pairwise lookup, whatever the configured selection.
+    #[cfg(test)]
     fn set_similarity_max1(
         &self,
         n1: usize,
         n2: usize,
         lookup: impl Fn(usize, usize) -> f64,
     ) -> f64 {
-        crate::combine::max1_both_combined(
+        let lookup = &lookup;
+        crate::combine::max1_both_one_pass(
             n1,
             n2,
-            |a, b| lookup(a, b).clamp(0.0, 1.0),
+            |a| (0..n2).map(move |b| lookup(a, b).clamp(0.0, 1.0)),
             self.combined,
         )
     }
 
-    /// Combined similarity of two leaf-key sets over the keyed leaf table.
+    /// Combined similarity of two leaf-key sets over the keyed leaf table:
+    /// one table row per source key, indexed by the target keys.
     fn keyed_set_similarity(&self, keys1: &[u32], keys2: &[u32], leaf: &KeyedSims) -> f64 {
-        self.set_similarity_by(keys1.len(), keys2.len(), |a, b| {
-            leaf.by_keys(keys1[a] as usize, keys2[b] as usize)
+        self.set_similarity_rows(keys1.len(), keys2.len(), |a| {
+            let row = leaf.key_row(keys1[a] as usize);
+            keys2.iter().map(move |&k| row[k as usize])
         })
     }
 }
@@ -183,8 +216,9 @@ impl ChildrenMatcher {
             let c1 = ctx.source_paths.children(p);
             for &q in &tgt_inner {
                 let c2 = ctx.target_paths.children(q);
-                let sim = self.config.set_similarity_by(c1.len(), c2.len(), |a, b| {
-                    out.get(c1[a].index(), c2[b].index())
+                let sim = self.config.set_similarity_rows(c1.len(), c2.len(), |a| {
+                    let row = out.row(c1[a].index());
+                    c2.iter().map(move |y| row[y.index()])
                 });
                 out.set(p.index(), q.index(), sim);
             }
@@ -242,19 +276,25 @@ impl ChildrenMatcher {
 
         // Bottom-up: a pair's dependencies have strictly smaller source
         // subtree height, so ordering by it computes children first. The
-        // computed inner values land in the overlay; reads fall back to
-        // the (shared, read-only) leaf table.
+        // computed inner × inner values land in the overlay, and only
+        // inner × inner pairs read it; a pair with a leaf reads its row
+        // of the (shared, read-only) keyed leaf table directly.
         let height = subtree_heights(sp);
         order.sort_by_key(|&(p, _)| height[p.index()]);
+        let (row_keys, col_keys) = (leaf.row_keys(), leaf.col_keys());
         let mut overlay: HashMap<usize, f64> = HashMap::with_capacity(order.len());
         for (p, q) in order {
             let (c1, c2) = (sp.children(p), tp.children(q));
-            let sim = self.config.set_similarity_by(c1.len(), c2.len(), |a, b| {
-                let (a, b) = (c1[a].index(), c2[b].index());
-                overlay
-                    .get(&(a * cols + b))
-                    .copied()
-                    .unwrap_or_else(|| leaf.get(a, b))
+            let sim = self.config.set_similarity_rows(c1.len(), c2.len(), |a| {
+                let (overlay, x) = (&overlay, c1[a].index());
+                let (row, x_inner) = (leaf.key_row(row_keys[x] as usize), !sp.is_leaf(c1[a]));
+                c2.iter().map(move |&y| {
+                    if x_inner && !tp.is_leaf(y) {
+                        overlay[&(x * cols + y.index())]
+                    } else {
+                        row[col_keys[y.index()] as usize]
+                    }
+                })
             });
             overlay.insert(p.index() * cols + q.index(), sim.clamp(0.0, 1.0));
         }
@@ -262,11 +302,13 @@ impl ChildrenMatcher {
         // Materialize the allowed cells straight into CSR storage.
         let mut b = SparseBuilder::new(ctx.rows(), cols);
         for i in 0..ctx.rows() {
+            let p_inner = !sp.is_leaf(ctx.source_elem(i));
             for j in mask.allowed_in_row(i) {
-                let v = overlay
-                    .get(&(i * cols + j))
-                    .copied()
-                    .unwrap_or_else(|| leaf.get(i, j));
+                let v = if p_inner && !tp.is_leaf(ctx.target_elem(j)) {
+                    overlay[&(i * cols + j)]
+                } else {
+                    leaf.get(i, j)
+                };
                 b.push(i, j, v);
             }
         }
@@ -461,6 +503,7 @@ mod tests {
     use crate::matchers::context::Auxiliary;
     use crate::matchers::synonym::SynonymTable;
     use coma_graph::{PathSet, Schema};
+    use proptest::prelude::*;
 
     fn po1() -> Schema {
         coma_sql::import_ddl(
@@ -663,6 +706,75 @@ mod tests {
                     assert_eq!(config.set_similarity_by(m, n, lookup), generic);
                 }
             }
+        }
+    }
+
+    proptest! {
+        /// The one-pass `Both`/`Max1` kernel — in its lookup form, its
+        /// keyed-row form (leaf-table rows indexed by column key, as
+        /// `Leaves` and `Children` read them) and the name engine's
+        /// two-pass form — equals select + compute bit for bit, over
+        /// sets drawn from a small distinct-key table so that exact ties
+        /// and zeros are dense, including `1 × n` and `m × 1` sets.
+        #[test]
+        fn one_pass_kernel_matches_select_and_compute(
+            shape in 0usize..3,
+            sizes in (1usize..64, 1usize..64),
+            distinct in (1usize..8, 1usize..8),
+            seed in 0u64..u64::MAX,
+            dice in 0usize..2,
+        ) {
+            let (m, n) = match shape {
+                0 => (1, sizes.1),
+                1 => (sizes.0, 1),
+                _ => sizes,
+            };
+            let mut state = seed | 1;
+            let mut next = move |bound: usize| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % bound as u64) as usize
+            };
+            let mut table = SimMatrix::new(distinct.0, distinct.1);
+            for k in 0..distinct.0 {
+                for l in 0..distinct.1 {
+                    const VALUES: [f64; 7] = [0.0, 0.0, 0.0, 0.5, 0.5, 1.0, 0.25];
+                    let v = match next(8) {
+                        7 => next(1000) as f64 / 1000.0,
+                        pick => VALUES[pick],
+                    };
+                    table.set(k, l, v);
+                }
+            }
+            let keys1: Vec<u32> = (0..m).map(|_| next(distinct.0) as u32).collect();
+            let keys2: Vec<u32> = (0..n).map(|_| next(distinct.1) as u32).collect();
+            let value = |a: usize, b: usize| table.get(keys1[a] as usize, keys2[b] as usize);
+            let config = StructuralConfig {
+                combined: if dice == 1 { CombinedSim::Dice } else { CombinedSim::Average },
+                ..StructuralConfig::paper_default()
+            };
+
+            let mut sub = SimMatrix::new(m, n);
+            for a in 0..m {
+                for b in 0..n {
+                    sub.set(a, b, value(a, b));
+                }
+            }
+            let cands = DirectedCandidates::select(&sub, Direction::Both, &Selection::max_n(1));
+            let want = config.combined.compute(&cands, m, n).to_bits();
+
+            let leaf = KeyedSims::new(
+                (0..distinct.0 as u32).collect(),
+                (0..distinct.1 as u32).collect(),
+                table.clone(),
+            );
+            let keyed = config.keyed_set_similarity(&keys1, &keys2, &leaf);
+            prop_assert_eq!(keyed.to_bits(), want, "keyed rows {}x{}", m, n);
+            let lookup = config.set_similarity_by(m, n, value);
+            prop_assert_eq!(lookup.to_bits(), want, "lookup {}x{}", m, n);
+            let two_pass = crate::combine::max1_both_combined(m, n, value, config.combined);
+            prop_assert_eq!(two_pass.to_bits(), want, "two-pass {}x{}", m, n);
         }
     }
 

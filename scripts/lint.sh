@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo-specific lint gates that rustc/clippy do not express, run by the
-# CI lint job next to rustfmt and clippy. Two rules:
+# CI lint job next to rustfmt and clippy. Three rules:
 #
 # 1. No `.unwrap()` / `.expect(` in the server's session/drain paths
 #    (crates/server/src/server.rs and state.rs, non-test code). A panic
@@ -14,6 +14,8 @@
 #    the window; a timing call in the measured closure would charge its
 #    formatting/syscall allocations to the workload under measurement.
 #    Time around the window, allocate inside it — never both at once.
+#
+# 3. Every shell script under scripts/ parses (`bash -n`).
 #
 # Exits nonzero with one line per violation.
 set -u
@@ -75,6 +77,14 @@ if [ -n "$violations" ]; then
     printf '%s\n' "$violations"
     status=1
 fi
+
+# --- rule 3: shell scripts parse ----------------------------------------
+for file in scripts/*.sh; do
+    if ! bash -n "$file"; then
+        echo "$file: bash -n failed"
+        status=1
+    fi
+done
 
 if [ "$status" -ne 0 ]; then
     echo "lint.sh: violations found" >&2

@@ -10,9 +10,10 @@
 use coma::core::matchers::hybrid::TypeNameMatcher;
 use coma::core::matchers::simple::SimpleNameMatcher;
 use coma::core::matchers::structural::{ChildrenMatcher, LeavesMatcher};
+use coma::core::plans::liberal_name_stage;
 use coma::core::{
     Coma, CombinedSim, DirectedCandidates, Direction, KeyedSims, MatchContext, MatchMemo, Matcher,
-    PairMask, Selection, SimMatrix,
+    PairMask, PlanEngine, Selection, SimMatrix, TopKPer,
 };
 use coma::graph::{PathId, PathSet};
 use coma_bench::workload::{generate_task, WorkloadShape, WorkloadSpec};
@@ -227,6 +228,60 @@ proptest! {
             let got = leaves.compute(&restricted);
             prop_assert!(got.is_sparse());
             assert_bits(&which("Leaves", "masked"), &got, &mask.masked_clone(&want_leaves))?;
+        }
+    }
+}
+
+/// The large shapes the proptest above never draws: a catalog whose
+/// categories hold more than 100 leaf children each, and a wide schema
+/// whose root pair's `Children` closure covers every container pair.
+/// `Children` and `Leaves` (paper-default `TypeName` leaf matcher) equal
+/// the dense oracle bit for bit, unmasked and masked by the `TopK(5)`
+/// prefilter's survivors, for Average and Dice.
+#[test]
+fn large_catalog_and_wide_shapes_match_the_dense_oracle() {
+    for (shape, nodes) in [(WorkloadShape::Catalog, 380), (WorkloadShape::Wide, 320)] {
+        let spec = WorkloadSpec::new(shape, nodes, 7);
+        let (source, target) = generate_task(&spec);
+        let coma = Coma::new();
+        let sp = PathSet::new(&source).unwrap();
+        let tp = PathSet::new(&target).unwrap();
+        let ctx = MatchContext::new(&source, &target, &sp, &tp, coma.aux());
+        let widest = |ps: &PathSet| ps.iter().map(|p| ps.children(p).len()).max().unwrap();
+        match shape {
+            WorkloadShape::Catalog => assert!(widest(&sp) > 100 && widest(&tp) > 100),
+            _ => assert!(sp.inner_paths().len() > 50 && tp.inner_paths().len() > 50),
+        }
+
+        let prefilter = liberal_name_stage().top_k(5, TopKPer::Both).unwrap();
+        let survivors = PlanEngine::new(coma.library())
+            .execute(&ctx, &prefilter)
+            .unwrap()
+            .result;
+        let mask = PairMask::from_result(ctx.rows(), ctx.cols(), &survivors);
+        let restricted = ctx.with_restriction(&mask);
+
+        let leaf_matcher = leaf_matcher(0);
+        let dense = leaf_matcher.compute(&ctx);
+        let selection = Selection::max_n(1);
+        for combined in [CombinedSim::Average, CombinedSim::Dice] {
+            let which = |m: &str, masked: &str| format!("{} {m} {masked} {combined}", spec.label());
+            let children = ChildrenMatcher::with_leaf_matcher(Arc::clone(&leaf_matcher))
+                .with_combined(combined);
+            let leaves =
+                LeavesMatcher::with_leaf_matcher(Arc::clone(&leaf_matcher)).with_combined(combined);
+            let want_children = children_oracle(&ctx, &dense, &selection, combined);
+            let want_leaves = leaves_oracle(&ctx, &dense, &selection, combined);
+            let checks = [
+                ("Children", &children as &dyn Matcher, &want_children),
+                ("Leaves", &leaves, &want_leaves),
+            ];
+            for (name, matcher, want) in checks {
+                assert_bits(&which(name, "full"), &matcher.compute(&ctx), want).unwrap();
+                let got = matcher.compute(&restricted);
+                assert!(got.is_sparse());
+                assert_bits(&which(name, "masked"), &got, &mask.masked_clone(want)).unwrap();
+            }
         }
     }
 }
