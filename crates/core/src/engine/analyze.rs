@@ -5,24 +5,23 @@
 //! The [`PlanAnalyzer`] walks the operator tree against an
 //! [`EngineConfig`] and per-task [`TaskStats`] (side sizes, leaf counts,
 //! vocabulary statistics, repository pivot availability, pinned
-//! feedback), mirroring the engine's own decision rules:
+//! feedback). Storage, fusion and shard decisions are not modelled here:
+//! the analyzer evaluates the engine's own rules in `engine/physical.rs`,
+//! passing the bounds it knows where the engine passes exact facts:
 //!
-//! * **storage** — `sparse && density <= sparse_density_cutoff`, applied
-//!   to the density *bounds* the selection/pruning operators imply
-//!   (`TopK(k, Row)` keeps at most `k·m` pairs, a capped
+//! * **storage** — over the density *bounds* the selection/pruning
+//!   operators imply (`TopK(k, Row)` keeps at most `k·m` pairs, a capped
 //!   `CandidateIndex` at most `cap·(m+n)`, …);
-//! * **fusion** — the exact preconditions of the engine's `try_fuse`
-//!   (pruning `Filter`/`TopK` over an unrestricted, row-shardable
-//!   `Matchers` leaf whose own selection prunes, sparse path on, no
-//!   feedback pinned);
-//! * **shards** — `EngineConfig::shards` / `min_shard_rows` /
-//!   `available_parallelism`, as the engine sizes them;
+//! * **fusion** — the static preconditions, whose failure reason also
+//!   drives the `W_UNFUSABLE_PRUNE` and `N_FUSE_FEEDBACK` diagnostics,
+//!   over a restriction that may be only `Maybe` present;
+//! * **shards** — the fresh-compute shard count of every stage;
 //! * **peak allocation** — the 8·m·n dense model per materialized
 //!   matrix, a CSR estimate under masks, the structural matchers'
 //!   shared keyed leaf table plus leaves-under expansions (built
 //!   regardless of mask — `structural_scratch` below), and the fused
-//!   pipeline's `threads × shard slice` in-flight model capped by
-//!   `fuse_budget_bytes`.
+//!   pipeline's `threads × shard slice` in-flight model, with as many
+//!   threads as the engine's fused sizing admits on any machine.
 //!
 //! # The facts lattice
 //!
@@ -65,6 +64,7 @@
 use super::cache::EngineCache;
 use super::index::VocabIndex;
 use super::memo::matcher_identity;
+use super::physical::{self, Density, Fusion, Tri};
 use super::plan::{MatchPlan, TopKPer};
 use super::EngineConfig;
 use crate::combine::{Direction, Selection};
@@ -117,58 +117,6 @@ impl fmt::Display for PlanDiagnostic {
             "{} {} at `{}`: {}",
             self.severity, self.code, self.node_path, self.message
         )
-    }
-}
-
-/// A three-valued static prediction: `Yes`/`No` are commitments the
-/// execution must honor, `Maybe` means the fact depends on runtime
-/// densities the analyzer cannot know (module docs: the facts lattice).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Tri {
-    /// The fact definitely holds.
-    Yes,
-    /// The fact definitely does not hold.
-    No,
-    /// Statically undecidable; either outcome is sound.
-    Maybe,
-}
-
-impl Tri {
-    /// Whether an executed boolean is consistent with this prediction —
-    /// the soundness check the perf gate and property tests apply.
-    pub fn agrees_with(self, actual: bool) -> bool {
-        match self {
-            Tri::Yes => actual,
-            Tri::No => !actual,
-            Tri::Maybe => true,
-        }
-    }
-
-    /// Lattice join: equal values keep, conflicting ones become `Maybe`.
-    pub fn join(self, other: Tri) -> Tri {
-        if self == other {
-            self
-        } else {
-            Tri::Maybe
-        }
-    }
-
-    fn from_bool(b: bool) -> Tri {
-        if b {
-            Tri::Yes
-        } else {
-            Tri::No
-        }
-    }
-}
-
-impl fmt::Display for Tri {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Tri::Yes => f.write_str("yes"),
-            Tri::No => f.write_str("no"),
-            Tri::Maybe => f.write_str("maybe"),
-        }
     }
 }
 
@@ -325,8 +273,10 @@ pub struct NodeFacts {
     pub storage_sparse: Tri,
     /// Will the stage execute on the streaming-fused path?
     pub fused: Tri,
-    /// Predicted shard count on a fresh compute (informational: memo and
-    /// cache hits report 1, and worker budgets depend on the machine).
+    /// Predicted [`StageOutcome::shards`](super::StageOutcome::shards):
+    /// exact for a fresh, memo-cold stage on the machine the analysis ran
+    /// on (memo and cache hits report 1), the largest possible count where
+    /// the stage's restriction is only bounded.
     pub shards_estimate: usize,
     /// Upper bound on the bytes this node's execution may allocate.
     pub peak_bytes: u64,
@@ -334,6 +284,26 @@ pub struct NodeFacts {
     /// (matcher matrices, or the vocabulary indexes of a
     /// `CandidateIndex`) already present for this schema pair.
     pub warmth: Option<(usize, usize)>,
+}
+
+impl NodeFacts {
+    /// The facts of a materialized, unfused, unsharded stage of `plan`
+    /// selecting at most `out` pairs; each node kind overrides the rest.
+    fn stage(path: String, plan: &MatchPlan, out: u64, cells: u64) -> NodeFacts {
+        NodeFacts {
+            path,
+            label: plan.label(),
+            kind: plan.kind_name(),
+            materialized: Tri::Yes,
+            out_pairs_hi: out,
+            density_hi: physical::density(out, cells),
+            storage_sparse: Tri::No,
+            fused: Tri::No,
+            shards_estimate: 1,
+            peak_bytes: 0,
+            warmth: None,
+        }
+    }
 }
 
 /// The result of one [`PlanAnalyzer::analyze`] pass: per-node facts,
@@ -534,24 +504,6 @@ const TOKEN_ID: u64 = 8;
 /// from this many pair-space cells on.
 const LARGE_TASK_CELLS: u64 = 1 << 20;
 
-/// What the analyzer knows about one leaf matcher.
-struct MatcherCaps {
-    name: String,
-    resolved: Option<Arc<dyn Matcher>>,
-}
-
-impl MatcherCaps {
-    fn row_shardable(&self) -> bool {
-        self.resolved.as_ref().is_some_and(|m| m.row_shardable())
-    }
-    fn cell_local(&self) -> bool {
-        self.resolved.as_ref().is_some_and(|m| m.cell_local())
-    }
-    fn sparse_capable(&self) -> bool {
-        self.resolved.as_ref().is_some_and(|m| m.sparse_capable())
-    }
-}
-
 /// The restriction state a node executes under.
 #[derive(Clone, Copy)]
 struct MaskState {
@@ -560,6 +512,12 @@ struct MaskState {
     /// Upper bound on the pairs the restriction allows (= `cells` when
     /// unrestricted).
     pairs_hi: u64,
+}
+
+impl MaskState {
+    fn density(self, cells: u64) -> Density {
+        Density::at_most(self.pairs_hi, cells)
+    }
 }
 
 /// The static plan analyzer (module docs). Cheap to construct; one
@@ -571,10 +529,22 @@ pub struct PlanAnalyzer<'a> {
 
 struct Walk<'c> {
     nodes: Vec<NodeFacts>,
-    errors: Vec<PlanDiagnostic>,
-    warns: Vec<PlanDiagnostic>,
-    notes: Vec<PlanDiagnostic>,
+    diagnostics: Vec<PlanDiagnostic>,
     cache: Option<(&'c EngineCache, u64, u64)>,
+    /// The engine's worker count on this machine, asked once per walk.
+    workers: usize,
+}
+
+impl Walk<'_> {
+    /// Records a diagnostic pinned to the node at `path`.
+    fn diagnose(&mut self, severity: Severity, code: &str, path: &str, message: String) {
+        self.diagnostics.push(PlanDiagnostic {
+            severity,
+            code: code.to_string(),
+            node_path: path.to_string(),
+            message,
+        });
+    }
 }
 
 impl<'a> PlanAnalyzer<'a> {
@@ -618,24 +588,16 @@ impl<'a> PlanAnalyzer<'a> {
     ) -> PlanAnalysis {
         let mut walk = Walk {
             nodes: Vec::new(),
-            errors: Vec::new(),
-            warns: Vec::new(),
-            notes: Vec::new(),
+            diagnostics: Vec::new(),
             cache,
+            workers: physical::workers(&self.cfg),
         };
         let cells = stats.cells();
         let root = MaskState {
             masked: Tri::No,
             pairs_hi: cells,
         };
-        self.node(
-            plan,
-            plan.kind_name().to_string(),
-            root,
-            false,
-            stats,
-            &mut walk,
-        );
+        self.node(plan, plan.kind_name().to_string(), root, stats, &mut walk);
         if let Some((cache, sfp, tfp)) = walk.cache {
             let warmth = cache.scope_warmth(sfp, tfp);
             let (warm, total) = walk
@@ -643,25 +605,26 @@ impl<'a> PlanAnalyzer<'a> {
                 .iter()
                 .filter_map(|f| f.warmth)
                 .fold((0, 0), |(w, t), (fw, ft)| (w + fw, t + ft));
-            walk.notes.push(PlanDiagnostic {
-                severity: Severity::Note,
-                code: "N_CACHE_WARMTH".to_string(),
-                node_path: plan.kind_name().to_string(),
-                message: format!(
+            walk.diagnose(
+                Severity::Note,
+                "N_CACHE_WARMTH",
+                plan.kind_name(),
+                format!(
                     "tenant cache: {warm}/{total} leaf artifacts warm for this schema pair \
                      ({} matrices, {} indexes cached in scope)",
                     warmth.matrices, warmth.indexes
                 ),
-            });
+            );
         }
         let prep_bytes = self.prep_bound(stats);
         let node_bytes: u64 = walk.nodes.iter().map(|f| f.peak_bytes).sum();
         let peak_bytes = prep_bytes
             .saturating_add(node_bytes)
             .saturating_add(PLAN_SLACK);
-        let mut diagnostics = walk.errors;
-        diagnostics.extend(walk.warns);
-        diagnostics.extend(walk.notes);
+        // Errors first; the sort is stable, so walk order holds within a
+        // severity.
+        let mut diagnostics = walk.diagnostics;
+        diagnostics.sort_by_key(|d| std::cmp::Reverse(d.severity));
         PlanAnalysis {
             nodes: walk.nodes,
             diagnostics,
@@ -699,32 +662,27 @@ impl<'a> PlanAnalyzer<'a> {
         plan: &MatchPlan,
         path: String,
         mask: MaskState,
-        under_iterate: bool,
         stats: &TaskStats,
         walk: &mut Walk<'_>,
     ) -> u64 {
         if let Some(kind) = plan.local_shape_defect() {
-            walk.errors.push(PlanDiagnostic {
-                severity: Severity::Error,
-                code: kind.code().to_string(),
-                node_path: path.clone(),
-                message: kind.to_string(),
-            });
+            walk.diagnose(Severity::Error, kind.code(), &path, kind.to_string());
         }
         let cells = stats.cells();
         let (m, n) = (stats.rows as u64, stats.cols as u64);
         let child_path =
             |idx: usize, child: &MatchPlan| format!("{path}[{idx}].{}", child.kind_name());
+        let facts = |out: u64| NodeFacts::stage(path.clone(), plan, out, cells);
         match plan {
             MatchPlan::Matchers {
                 matchers,
                 combination,
             } => {
-                let caps = self.resolve(matchers, &path, walk);
+                let resolved = self.resolve(matchers, &path, walk);
                 let sel =
                     selection_pairs_bound(&combination.selection, combination.direction, m, n);
                 let out = bounded(sel, mask.pairs_hi, stats.feedback_pins, cells);
-                let storage = self.masked_storage(mask, cells);
+                let storage = physical::stage_sparse(&self.cfg, mask.masked, mask.density(cells));
                 // An unrestricted stage that may store dense materializes
                 // one full slice per matcher plus the aggregate; when
                 // that alone exceeds the fused in-flight budget, the plan
@@ -732,38 +690,40 @@ impl<'a> PlanAnalyzer<'a> {
                 // over this leaf (which would stream it in budget-capped
                 // shards instead).
                 let dense_slices =
-                    cells.saturating_mul(DENSE_CELL.saturating_mul(caps.len() as u64 + 1));
-                if storage != Tri::Yes
-                    && mask.masked != Tri::Yes
-                    && dense_slices > self.cfg.fuse_budget_bytes as u64
+                    cells.saturating_mul(DENSE_CELL.saturating_mul(matchers.len() as u64 + 1));
+                let over_budget = physical::fuse_budget_exceeded(&self.cfg, dense_slices);
+                if let Some(budget) =
+                    over_budget.filter(|_| storage != Tri::Yes && mask.masked != Tri::Yes)
                 {
-                    walk.warns.push(PlanDiagnostic {
-                        severity: Severity::Warn,
-                        code: "W_DENSE_OVER_BUDGET".to_string(),
-                        node_path: path.clone(),
-                        message: format!(
+                    walk.diagnose(
+                        Severity::Warn,
+                        "W_DENSE_OVER_BUDGET",
+                        &path,
+                        format!(
                             "unrestricted dense stage materializes ~{} ({} matcher slice(s) + \
                              aggregate at {m}x{n}), over fuse_budget_bytes = {}; prune with \
                              `TopK`/threshold `Filter` directly over this leaf to engage \
                              streaming fusion",
                             human_bytes(dense_slices),
-                            caps.len(),
-                            human_bytes(self.cfg.fuse_budget_bytes as u64),
+                            matchers.len(),
+                            human_bytes(budget),
                         ),
-                    });
+                    );
                 }
+                let shards = physical::leaf_shards(
+                    &self.cfg,
+                    walk.workers,
+                    stats.rows,
+                    &resolved,
+                    mask.masked,
+                    mask.density(cells),
+                );
                 let facts = NodeFacts {
-                    path: path.clone(),
-                    label: plan.label(),
-                    kind: "Matchers",
-                    materialized: Tri::Yes,
-                    out_pairs_hi: out,
-                    density_hi: density(out, cells),
                     storage_sparse: storage,
-                    fused: Tri::No,
-                    shards_estimate: self.leaf_shards(mask, stats),
-                    peak_bytes: self.leaf_peak(&caps, stats, cells, mask, storage, out),
-                    warmth: self.leaf_warmth(&caps, walk),
+                    shards_estimate: shards,
+                    peak_bytes: self.leaf_peak(&resolved, stats, cells, mask, storage, out),
+                    warmth: self.leaf_warmth(&resolved, walk),
+                    ..facts(out)
                 };
                 walk.nodes.push(facts);
                 out
@@ -772,16 +732,16 @@ impl<'a> PlanAnalyzer<'a> {
                 let sel = per_element.map(|cap| (cap as u64).saturating_mul(m.saturating_add(n)));
                 let out = bounded(sel, mask.pairs_hi, 0, cells);
                 if per_element.is_none() && cells >= LARGE_TASK_CELLS {
-                    walk.warns.push(PlanDiagnostic {
-                        severity: Severity::Warn,
-                        code: "W_CIDX_UNCAPPED".to_string(),
-                        node_path: path.clone(),
-                        message: format!(
+                    walk.diagnose(
+                        Severity::Warn,
+                        "W_CIDX_UNCAPPED",
+                        &path,
+                        format!(
                             "uncapped `CandidateIndex` on a large task ({m}x{n}): the candidate \
                              mask is bounded only by posting traffic; set `per_element` to bound \
                              it at O(cap*(m+n)) pairs"
                         ),
-                    });
+                    );
                 }
                 let warmth = walk.cache.map(|(cache, sfp, tfp)| {
                     let warm = usize::from(cache.has_vocab_index(sfp, *q))
@@ -789,30 +749,22 @@ impl<'a> PlanAnalyzer<'a> {
                     (warm, 2)
                 });
                 let facts = NodeFacts {
-                    path: path.clone(),
-                    label: plan.label(),
-                    kind: "CandidateIndex",
-                    materialized: Tri::Yes,
-                    out_pairs_hi: out,
-                    density_hi: density(out, cells),
-                    storage_sparse: Tri::from_bool(self.cfg.sparse),
-                    fused: Tri::No,
-                    shards_estimate: self.leaf_shards(mask, stats),
+                    storage_sparse: physical::candidate_sparse(&self.cfg),
+                    shards_estimate: physical::unrestricted_shards(
+                        &self.cfg,
+                        stats.rows,
+                        true,
+                        walk.workers,
+                    ),
                     peak_bytes: self.candidate_index_peak(stats, out, cells),
                     warmth,
+                    ..facts(out)
                 };
                 walk.nodes.push(facts);
                 out
             }
             MatchPlan::Seq { filter, refine } => {
-                let first = self.node(
-                    filter,
-                    child_path(0, filter),
-                    mask,
-                    under_iterate,
-                    stats,
-                    walk,
-                );
+                let first = self.node(filter, child_path(0, filter), mask, stats, walk);
                 // The refine side always runs restricted to the filter's
                 // survivors (intersected with any outer mask), plus the
                 // survivor-mask allocations of the Seq itself.
@@ -820,51 +772,30 @@ impl<'a> PlanAnalyzer<'a> {
                     masked: Tri::Yes,
                     pairs_hi: first.min(mask.pairs_hi),
                 };
-                let out = self.node(
-                    refine,
-                    child_path(1, refine),
-                    refine_mask,
-                    under_iterate,
-                    stats,
-                    walk,
-                );
+                let out = self.node(refine, child_path(1, refine), refine_mask, stats, walk);
                 walk.nodes.push(NodeFacts {
-                    path,
-                    label: plan.label(),
-                    kind: "Seq",
                     materialized: Tri::No,
-                    out_pairs_hi: out,
-                    density_hi: density(out, cells),
                     storage_sparse: Tri::Maybe,
-                    fused: Tri::No,
-                    shards_estimate: 1,
                     peak_bytes: cells / 4 + NODE_SLACK,
-                    warmth: None,
+                    ..facts(out)
                 });
                 out
             }
             MatchPlan::Par { plans, combination } => {
                 let mut sub_out: Vec<u64> = Vec::with_capacity(plans.len());
                 for (i, sub) in plans.iter().enumerate() {
-                    sub_out.push(self.node(
-                        sub,
-                        child_path(i, sub),
-                        mask,
-                        under_iterate,
-                        stats,
-                        walk,
-                    ));
+                    sub_out.push(self.node(sub, child_path(i, sub), mask, stats, walk));
                 }
                 // The stage cube holds one pair matrix per sub-plan
                 // result; each follows the engine's `pair_matrix` rule.
                 let slice_storage: Vec<Tri> = sub_out
                     .iter()
-                    .map(|&e| self.pair_matrix_storage(e, cells))
+                    .map(|&e| self.pair_matrix_sparse(e, cells))
                     .collect();
                 let storage = slice_storage
                     .iter()
                     .copied()
-                    .reduce(all_of)
+                    .reduce(Tri::and)
                     .unwrap_or(Tri::Maybe);
                 let sel =
                     selection_pairs_bound(&combination.selection, combination.direction, m, n);
@@ -883,17 +814,9 @@ impl<'a> PlanAnalyzer<'a> {
                 });
                 peak = peak.saturating_add(out.saturating_mul(RESULT_ENTRY));
                 walk.nodes.push(NodeFacts {
-                    path,
-                    label: plan.label(),
-                    kind: "Par",
-                    materialized: Tri::Yes,
-                    out_pairs_hi: out,
-                    density_hi: density(out, cells),
                     storage_sparse: storage,
-                    fused: Tri::No,
-                    shards_estimate: 1,
                     peak_bytes: peak,
-                    warmth: None,
+                    ..facts(out)
                 });
                 out
             }
@@ -904,9 +827,8 @@ impl<'a> PlanAnalyzer<'a> {
                 ..
             } => {
                 let fused = self.fusion(input, mask, &path, stats, walk);
-                let inner =
-                    self.prunable_input(input, &path, mask, fused, under_iterate, stats, walk);
-                let matrix_storage = self.pair_matrix_storage(inner, cells);
+                let inner = self.prunable_input(input, &path, mask, fused, stats, walk);
+                let matrix_storage = self.pair_matrix_sparse(inner, cells);
                 let sel = selection_pairs_bound(selection, *direction, m, n);
                 let out = bounded(sel, inner, 0, cells);
                 let mut peak = self
@@ -917,36 +839,23 @@ impl<'a> PlanAnalyzer<'a> {
                     peak = peak.saturating_add(self.fused_peak(input, stats));
                 }
                 walk.nodes.push(NodeFacts {
-                    path,
-                    label: plan.label(),
-                    kind: "Filter",
-                    materialized: Tri::Yes,
-                    out_pairs_hi: out,
-                    density_hi: density(out, cells),
                     storage_sparse: matrix_storage,
                     fused,
-                    shards_estimate: self.fused_shards(stats),
+                    shards_estimate: self.prune_shards(fused, stats),
                     peak_bytes: peak,
-                    warmth: None,
+                    ..facts(out)
                 });
                 out
             }
             MatchPlan::TopK { input, k, per } => {
                 let fused = self.fusion(input, mask, &path, stats, walk);
-                let inner =
-                    self.prunable_input(input, &path, mask, fused, under_iterate, stats, walk);
+                let inner = self.prunable_input(input, &path, mask, fused, stats, walk);
                 let keep_hi = topk_pairs_bound(*k, *per, m, n).min(cells);
                 let out = keep_hi.min(inner);
-                // Pruned-matrix storage follows `sparse_storage` on the
-                // top-k keep mask, whose density is bounded statically.
-                let storage = if !self.cfg.sparse {
-                    Tri::No
-                } else if density(keep_hi, cells) <= self.cfg.sparse_density_cutoff {
-                    Tri::Yes
-                } else {
-                    Tri::Maybe
-                };
-                let matrix_storage = self.pair_matrix_storage(inner, cells);
+                // The pruned matrix is stored by the top-k keep mask's
+                // density, which is bounded statically.
+                let storage = physical::sparse_at(&self.cfg, Density::at_most(keep_hi, cells));
+                let matrix_storage = self.pair_matrix_sparse(inner, cells);
                 let mut peak = self
                     .pair_matrix_bytes(inner, cells, matrix_storage)
                     .saturating_add(cells / 8 + 64) // keep-mask bitset
@@ -957,17 +866,11 @@ impl<'a> PlanAnalyzer<'a> {
                     peak = peak.saturating_add(self.fused_peak(input, stats));
                 }
                 walk.nodes.push(NodeFacts {
-                    path,
-                    label: plan.label(),
-                    kind: "TopK",
-                    materialized: Tri::Yes,
-                    out_pairs_hi: out,
-                    density_hi: density(out, cells),
                     storage_sparse: storage,
                     fused,
-                    shards_estimate: self.fused_shards(stats),
+                    shards_estimate: self.prune_shards(fused, stats),
                     peak_bytes: peak,
-                    warmth: None,
+                    ..facts(out)
                 });
                 out
             }
@@ -987,9 +890,9 @@ impl<'a> PlanAnalyzer<'a> {
                     },
                     pairs_hi: mask.pairs_hi,
                 };
-                let inner = self.node(sub, child_path(0, sub), round_mask, true, stats, walk);
+                let inner = self.node(sub, child_path(0, sub), round_mask, stats, walk);
                 self.iterate_fixpoint_warning(sub, *max_rounds, *epsilon, &path, walk);
-                let storage = self.pair_matrix_storage(inner, cells);
+                let storage = self.pair_matrix_sparse(inner, cells);
                 let peak = self
                     .pair_matrix_bytes(inner, cells, storage)
                     .saturating_mul(2) // prev + current round matrices
@@ -997,17 +900,9 @@ impl<'a> PlanAnalyzer<'a> {
                     .saturating_add(inner.saturating_mul(RESULT_ENTRY))
                     .saturating_add(NODE_SLACK);
                 walk.nodes.push(NodeFacts {
-                    path,
-                    label: plan.label(),
-                    kind: "Iterate",
-                    materialized: Tri::Yes,
-                    out_pairs_hi: inner,
-                    density_hi: density(inner, cells),
                     storage_sparse: storage,
-                    fused: Tri::No,
-                    shards_estimate: 1,
                     peak_bytes: peak,
-                    warmth: None,
+                    ..facts(inner)
                 });
                 inner
             }
@@ -1016,32 +911,27 @@ impl<'a> PlanAnalyzer<'a> {
                 combination,
                 ..
             } => {
-                match stats.min_pivot_hops {
-                    None => walk.warns.push(PlanDiagnostic {
-                        severity: Severity::Warn,
-                        code: "W_REUSE_NO_PATH".to_string(),
-                        node_path: path.clone(),
-                        message: "the repository holds no pivot chain between the task schemas \
-                                  (or no repository is attached): the reuse slice will be empty"
+                let unreachable = match stats.min_pivot_hops {
+                    None => Some(
+                        "the repository holds no pivot chain between the task schemas \
+                         (or no repository is attached): the reuse slice will be empty"
                             .to_string(),
-                    }),
-                    Some(hops) if hops > *max_hops => walk.warns.push(PlanDiagnostic {
-                        severity: Severity::Warn,
-                        code: "W_REUSE_NO_PATH".to_string(),
-                        node_path: path.clone(),
-                        message: format!(
-                            "the shortest repository pivot chain needs {hops} hops but this \
-                             `Reuse` allows max_hops = {max_hops}: the reuse slice will be empty"
-                        ),
-                    }),
-                    Some(_) => {}
+                    ),
+                    Some(hops) if hops > *max_hops => Some(format!(
+                        "the shortest repository pivot chain needs {hops} hops but this \
+                         `Reuse` allows max_hops = {max_hops}: the reuse slice will be empty"
+                    )),
+                    Some(_) => None,
+                };
+                if let Some(message) = unreachable {
+                    walk.diagnose(Severity::Warn, "W_REUSE_NO_PATH", &path, message);
                 }
                 let sel =
                     selection_pairs_bound(&combination.selection, combination.direction, m, n);
                 let out = bounded(sel, mask.pairs_hi, stats.feedback_pins, cells);
                 // The resolver renders the merged mapping into a dense
                 // slice; only a sparse mask re-stores it as CSR.
-                let storage = self.masked_storage(mask, cells);
+                let storage = physical::stage_sparse(&self.cfg, mask.masked, mask.density(cells));
                 let compose = (stats.repo_correspondences as u64)
                     .saturating_mul(*max_hops as u64)
                     .saturating_mul(256);
@@ -1051,17 +941,9 @@ impl<'a> PlanAnalyzer<'a> {
                     .saturating_add(out.saturating_mul(RESULT_ENTRY))
                     .saturating_add(NODE_SLACK);
                 walk.nodes.push(NodeFacts {
-                    path,
-                    label: plan.label(),
-                    kind: "Reuse",
-                    materialized: Tri::Yes,
-                    out_pairs_hi: out,
-                    density_hi: density(out, cells),
                     storage_sparse: storage,
-                    fused: Tri::No,
-                    shards_estimate: 1,
                     peak_bytes: peak,
-                    warmth: None,
+                    ..facts(out)
                 });
                 out
             }
@@ -1072,14 +954,12 @@ impl<'a> PlanAnalyzer<'a> {
     /// definitely-fused input leaf is absorbed — it never materializes
     /// its own stage; its facts record that and charge no bytes (the
     /// parent carries the fused-pipeline bound).
-    #[allow(clippy::too_many_arguments)]
     fn prunable_input(
         &self,
         input: &MatchPlan,
         path: &str,
         mask: MaskState,
         fused: Tri,
-        under_iterate: bool,
         stats: &TaskStats,
         walk: &mut Walk<'_>,
     ) -> u64 {
@@ -1094,7 +974,7 @@ impl<'a> PlanAnalyzer<'a> {
             else {
                 unreachable!("fusion only predicted for Matchers inputs");
             };
-            let caps = self.resolve(matchers, &child_path, walk);
+            let resolved = self.resolve(matchers, &child_path, walk);
             let sel = selection_pairs_bound(
                 &combination.selection,
                 combination.direction,
@@ -1103,21 +983,16 @@ impl<'a> PlanAnalyzer<'a> {
             );
             let out = bounded(sel, mask.pairs_hi, 0, stats.cells());
             walk.nodes.push(NodeFacts {
-                path: child_path,
-                label: input.label(),
-                kind: "Matchers",
                 materialized: Tri::No,
-                out_pairs_hi: out,
-                density_hi: density(out, stats.cells()),
                 storage_sparse: Tri::Maybe,
                 fused: Tri::Maybe,
-                shards_estimate: self.fused_shards(stats),
-                peak_bytes: 0,
-                warmth: self.leaf_warmth(&caps, walk),
+                shards_estimate: physical::fused_shards(&self.cfg, stats.rows),
+                warmth: self.leaf_warmth(&resolved, walk),
+                ..NodeFacts::stage(child_path, input, out, stats.cells())
             });
             return out;
         }
-        let out = self.node(input, child_path, mask, under_iterate, stats, walk);
+        let out = self.node(input, child_path, mask, stats, walk);
         if fused == Tri::Maybe {
             // The leaf's stage may or may not materialize; mark it.
             if let Some(facts) = walk.nodes.last_mut() {
@@ -1129,9 +1004,9 @@ impl<'a> PlanAnalyzer<'a> {
         out
     }
 
-    /// Mirrors the engine's `try_fuse` preconditions as a [`Tri`], and
-    /// emits the unfusable-prune warning when only a matcher capability
-    /// or the leaf's unbounded selection blocks fusion.
+    /// The engine's fusion rule over the stage's restriction state; the
+    /// reason fusion is blocked drives the pinned-feedback note and, for
+    /// an unrestricted stage, the unfusable-prune warning.
     fn fusion(
         &self,
         input: &MatchPlan,
@@ -1140,68 +1015,50 @@ impl<'a> PlanAnalyzer<'a> {
         stats: &TaskStats,
         walk: &mut Walk<'_>,
     ) -> Tri {
-        let MatchPlan::Matchers {
-            matchers,
-            combination,
-        } = input
-        else {
-            return Tri::No;
-        };
-        if !(self.cfg.fuse_pruning && self.cfg.sparse) {
-            return Tri::No;
-        }
-        if stats.feedback_pins > 0 {
-            walk.notes.push(PlanDiagnostic {
-                severity: Severity::Note,
-                code: "N_FUSE_FEEDBACK".to_string(),
-                node_path: path.to_string(),
-                message: format!(
-                    "{} pinned feedback correspondences disable streaming-fused pruning \
-                     (pins must resurface in the full combination)",
-                    stats.feedback_pins
+        let fusion = physical::fusion(&self.cfg, self.library, input, stats.feedback_pins);
+        let cannot_engage = "streaming-fused pruning cannot engage: the full dense matrix will \
+                             be materialized before this node prunes it";
+        let unrestricted = mask.masked == Tri::No;
+        match &fusion {
+            Fusion::Feedback(pins) => walk.diagnose(
+                Severity::Note,
+                "N_FUSE_FEEDBACK",
+                path,
+                format!(
+                    "{pins} pinned feedback correspondences disable streaming-fused pruning \
+                     (pins must resurface in the full combination)"
                 ),
-            });
-            return Tri::No;
-        }
-        let prunes =
-            combination.selection.max_n.is_some() || combination.selection.threshold.is_some();
-        let caps = self.resolve_quiet(matchers);
-        let unshardable: Vec<&str> = caps
-            .iter()
-            .filter(|c| !c.row_shardable())
-            .map(|c| c.name.as_str())
-            .collect();
-        if !prunes || !unshardable.is_empty() {
-            if mask.masked == Tri::No && !matchers.is_empty() {
-                let message = if !prunes {
-                    "the input leaf's selection neither caps nor thresholds, so \
-                     streaming-fused pruning cannot engage: the full dense matrix will be \
-                     materialized before this node prunes it"
-                        .to_string()
-                } else {
+            ),
+            Fusion::Unpruned if unrestricted => walk.diagnose(
+                Severity::Warn,
+                "W_UNFUSABLE_PRUNE",
+                path,
+                format!(
+                    "the input leaf's selection neither caps nor thresholds, so {cannot_engage}"
+                ),
+            ),
+            Fusion::Unshardable(names) if unrestricted => {
+                walk.diagnose(
+                    Severity::Warn,
+                    "W_UNFUSABLE_PRUNE",
+                    path,
                     format!(
-                        "matcher(s) {} are not row-shardable, so streaming-fused pruning \
-                         cannot engage: the full dense matrix will be materialized before \
-                         this node prunes it",
-                        unshardable.join(", ")
-                    )
-                };
-                walk.warns.push(PlanDiagnostic {
-                    severity: Severity::Warn,
-                    code: "W_UNFUSABLE_PRUNE".to_string(),
-                    node_path: path.to_string(),
-                    message,
-                });
+                        "matcher(s) {} are not row-shardable, so {cannot_engage}",
+                        names.join(", ")
+                    ),
+                );
             }
-            return Tri::No;
+            _ => {}
         }
-        if caps.iter().any(|c| c.resolved.is_none()) || matchers.is_empty() {
-            return Tri::No;
-        }
-        match mask.masked {
-            Tri::Yes => Tri::No,
-            Tri::No => Tri::Yes,
-            Tri::Maybe => Tri::Maybe,
+        fusion.fused(mask.masked)
+    }
+
+    /// The shard count a `Filter`/`TopK` stage reports: the fused
+    /// pipeline's when it may fuse, 1 otherwise.
+    fn prune_shards(&self, fused: Tri, stats: &TaskStats) -> usize {
+        match fused {
+            Tri::No => 1,
+            Tri::Yes | Tri::Maybe => physical::fused_shards(&self.cfg, stats.rows),
         }
     }
 
@@ -1235,91 +1092,58 @@ impl<'a> PlanAnalyzer<'a> {
             max_rounds > 3
         };
         if wasted {
-            walk.warns.push(PlanDiagnostic {
-                severity: Severity::Warn,
-                code: "W_ITERATE_FIXPOINT".to_string(),
-                node_path: path.to_string(),
-                message: format!(
+            walk.diagnose(
+                Severity::Warn,
+                "W_ITERATE_FIXPOINT",
+                path,
+                format!(
                     "every matcher in the iterated plan is cell-local: cell values cannot \
                      change under the round restriction, so the result is stable from round 2 \
                      and max_rounds = {max_rounds} budgets dead rounds"
                 ),
-            });
+            );
         }
     }
 
-    fn resolve(&self, names: &[String], path: &str, walk: &mut Walk<'_>) -> Vec<MatcherCaps> {
-        let caps = self.resolve_quiet(names);
-        for c in caps.iter().filter(|c| c.resolved.is_none()) {
-            walk.errors.push(PlanDiagnostic {
-                severity: Severity::Error,
-                code: "E_UNKNOWN_MATCHER".to_string(),
-                node_path: path.to_string(),
-                message: format!("unknown matcher `{}` (not in the library)", c.name),
-            });
+    /// Resolves a leaf's matchers against the library, reporting every
+    /// unknown one as an error.
+    fn resolve(
+        &self,
+        names: &[String],
+        path: &str,
+        walk: &mut Walk<'_>,
+    ) -> Vec<Option<Arc<dyn Matcher>>> {
+        let resolved: Vec<Option<Arc<dyn Matcher>>> =
+            names.iter().map(|name| self.library.get(name)).collect();
+        for (name, _) in names.iter().zip(&resolved).filter(|(_, m)| m.is_none()) {
+            let message = format!("unknown matcher `{name}` (not in the library)");
+            walk.diagnose(Severity::Error, "E_UNKNOWN_MATCHER", path, message);
         }
-        caps
+        resolved
     }
 
-    fn resolve_quiet(&self, names: &[String]) -> Vec<MatcherCaps> {
-        names
-            .iter()
-            .map(|name| MatcherCaps {
-                name: name.clone(),
-                resolved: self.library.get(name),
-            })
-            .collect()
-    }
-
-    fn leaf_warmth(&self, caps: &[MatcherCaps], walk: &Walk<'_>) -> Option<(usize, usize)> {
+    fn leaf_warmth(
+        &self,
+        resolved: &[Option<Arc<dyn Matcher>>],
+        walk: &Walk<'_>,
+    ) -> Option<(usize, usize)> {
         let (cache, sfp, tfp) = walk.cache?;
         let scope = (sfp, tfp);
-        let warm = caps
+        let warm = resolved
             .iter()
-            .filter_map(|c| c.resolved.as_ref())
+            .flatten()
             .filter(|m| {
                 let identity = matcher_identity(m.as_ref());
                 cache.cached_matrix(scope, m.name(), identity).is_some()
                     || cache.cached_keyed(scope, m.name(), identity).is_some()
             })
             .count();
-        Some((warm, caps.len()))
-    }
-
-    /// Storage of a masked (or unmasked) `Matchers`/`Reuse` stage: the
-    /// engine's `sparse_storage(mask)` over the mask-density bound.
-    fn masked_storage(&self, mask: MaskState, cells: u64) -> Tri {
-        match mask.masked {
-            Tri::No => Tri::No, // unrestricted stages keep dense slices
-            Tri::Yes => {
-                if !self.cfg.sparse {
-                    Tri::No
-                } else if density(mask.pairs_hi, cells) <= self.cfg.sparse_density_cutoff {
-                    Tri::Yes
-                } else {
-                    Tri::Maybe
-                }
-            }
-            Tri::Maybe => {
-                if self.cfg.sparse {
-                    Tri::Maybe
-                } else {
-                    Tri::No
-                }
-            }
-        }
+        Some((warm, resolved.len()))
     }
 
     /// The engine's `pair_matrix` storage rule over an entry bound.
-    fn pair_matrix_storage(&self, entries_hi: u64, cells: u64) -> Tri {
-        if !self.cfg.sparse || cells == 0 {
-            return Tri::No;
-        }
-        if density(entries_hi, cells) <= self.cfg.sparse_density_cutoff {
-            Tri::Yes
-        } else {
-            Tri::Maybe
-        }
+    fn pair_matrix_sparse(&self, entries_hi: u64, cells: u64) -> Tri {
+        physical::pair_matrix_sparse(&self.cfg, Density::at_most(entries_hi, cells), cells)
     }
 
     fn pair_matrix_bytes(&self, entries_hi: u64, cells: u64, storage: Tri) -> u64 {
@@ -1343,11 +1167,11 @@ impl<'a> PlanAnalyzer<'a> {
     /// masked or not, sparse or dense — so every peak model must carry
     /// it; missing it is exactly the under-coverage a deep schema
     /// exposes, where Σ|leaves_under| grows with depth.
-    fn structural_scratch(&self, caps: &[MatcherCaps], stats: &TaskStats) -> u64 {
-        let global: Vec<Option<&Arc<dyn Matcher>>> = caps
+    fn structural_scratch(&self, resolved: &[Option<Arc<dyn Matcher>>], stats: &TaskStats) -> u64 {
+        let global: Vec<Option<&Arc<dyn Matcher>>> = resolved
             .iter()
-            .filter(|c| !(c.resolved.is_some() && c.cell_local()))
-            .map(|c| c.resolved.as_ref())
+            .filter(|m| !m.as_ref().is_some_and(|m| m.cell_local()))
+            .map(Option::as_ref)
             .collect();
         if global.is_empty() {
             return 0;
@@ -1392,14 +1216,14 @@ impl<'a> PlanAnalyzer<'a> {
     /// masked dense, masked sparse).
     fn leaf_peak(
         &self,
-        caps: &[MatcherCaps],
+        resolved: &[Option<Arc<dyn Matcher>>],
         stats: &TaskStats,
         cells: u64,
         mask: MaskState,
         storage: Tri,
         out: u64,
     ) -> u64 {
-        let l = caps.len() as u64;
+        let l = resolved.len() as u64;
         let dense = cells.saturating_mul(DENSE_CELL);
         let result_term = out.saturating_mul(RESULT_ENTRY);
         // Unrestricted: one dense slice per matcher + aggregate +
@@ -1413,12 +1237,15 @@ impl<'a> PlanAnalyzer<'a> {
             .saturating_mul(2 * l + 1)
             .saturating_add(cells.saturating_mul(32));
         // Masked, sparse storage: restriction-honoring matchers build CSR
-        // under the mask; global matchers still compute (and memoize) a
-        // full dense matrix first.
+        // under the mask; the others still compute (and memoize) a full
+        // dense matrix first.
         let entries = mask.pairs_hi;
         let mut masked_sparse = entries.saturating_mul(SPARSE_ENTRY).saturating_mul(l + 3);
-        for c in caps {
-            if !(c.cell_local() || c.sparse_capable()) {
+        for m in resolved {
+            if !m
+                .as_ref()
+                .is_some_and(|m| physical::honors_restriction(&**m, Tri::Yes).holds())
+            {
                 masked_sparse = masked_sparse.saturating_add(dense.saturating_mul(2));
             }
         }
@@ -1432,7 +1259,7 @@ impl<'a> PlanAnalyzer<'a> {
             Tri::Yes => masked,
             Tri::Maybe => unmasked.max(masked),
         };
-        peak.saturating_add(self.structural_scratch(caps, stats))
+        peak.saturating_add(self.structural_scratch(resolved, stats))
             .saturating_add(result_term)
             .saturating_add(NODE_SLACK)
     }
@@ -1448,10 +1275,10 @@ impl<'a> PlanAnalyzer<'a> {
         // Per-thread pool scratch, charged at the machine-independent
         // worst case: the engine never runs more scorer threads than
         // row shards.
-        let scratch = (self.fused_shards(stats) as u64)
+        let scratch = (physical::fused_shards(&self.cfg, stats.rows) as u64)
             .saturating_mul(stats.cols as u64 + 16)
             .saturating_mul(32);
-        let output = if self.cfg.sparse {
+        let output = if physical::candidate_sparse(&self.cfg) == Tri::Yes {
             out.saturating_mul(SPARSE_ENTRY)
         } else {
             cells.saturating_mul(DENSE_CELL)
@@ -1464,14 +1291,11 @@ impl<'a> PlanAnalyzer<'a> {
     }
 
     /// In-flight bound of the fused pipeline for `input` (a `Matchers`
-    /// leaf): `threads × shard slice bytes` as `fused_leaf` sizes them,
-    /// plus the CSR fragments/pools and the survivor matrix. The bound
-    /// is committed and gated across runners, so it must be
-    /// machine-independent: it charges the budget-capped worst case —
-    /// as many workers as `fuse_budget_bytes` admits — rather than this
-    /// machine's core count. The engine never exceeds that
-    /// (`threads = workers.min(budget_cap).min(shards)`), so the bound
-    /// holds on any machine.
+    /// leaf): `threads × shard slice bytes` as the engine's fused sizing
+    /// gives them, plus the CSR fragments/pools and the survivor matrix.
+    /// The bound is committed and gated across runners, so it sizes the
+    /// threads for any machine — as many as `fuse_budget_bytes` admits —
+    /// rather than this machine's core count, which never runs more.
     fn fused_peak(&self, input: &MatchPlan, stats: &TaskStats) -> u64 {
         let MatchPlan::Matchers {
             matchers,
@@ -1481,66 +1305,25 @@ impl<'a> PlanAnalyzer<'a> {
             return 0;
         };
         let (m, n) = (stats.rows as u64, stats.cols as u64);
-        let l = matchers.len() as u64;
-        let shards = self.fused_shards(stats) as u64;
-        let shard_rows = if shards == 0 { 0 } else { m.div_ceil(shards) };
-        let inflight = shard_rows
-            .saturating_mul(n)
-            .saturating_mul(DENSE_CELL)
-            .saturating_mul(l + 1);
-        let budget_cap = (self.cfg.fuse_budget_bytes as u64)
-            .checked_div(inflight)
-            .map_or(1, |cap| cap.max(1));
-        let threads = budget_cap.min(shards.max(1));
+        let sizing =
+            physical::fused_sizing(&self.cfg, None, stats.rows, stats.cols, matchers.len());
         let sel = selection_pairs_bound(&combination.selection, combination.direction, m, n);
         let survivors = bounded(sel, stats.cells(), 0, stats.cells());
-        threads
-            .saturating_mul(inflight)
+        (sizing.threads as u64)
+            .saturating_mul(sizing.inflight_bytes)
             .saturating_add(survivors.saturating_mul(SPARSE_ENTRY).saturating_mul(3))
             // A fused Leaves still builds the shared keyed leaf
             // table inside its workers — the in-flight shard budget
             // does not cover it.
-            .saturating_add(self.structural_scratch(&self.resolve_quiet(matchers), stats))
-    }
-
-    /// The fused pipeline's shard count (`fused_leaf`'s formula — note it
-    /// ignores `parallel`: shards are a granularity, threads the
-    /// parallelism).
-    fn fused_shards(&self, stats: &TaskStats) -> usize {
-        let m = stats.rows;
-        match self.cfg.shards {
-            Some(forced) => forced.min(m.max(1)),
-            None => m.div_ceil(self.cfg.min_shard_rows).max(1),
-        }
-    }
-
-    /// `planned_shards` for a fresh unrestricted leaf compute with the
-    /// whole machine as budget (masked or memo-hit computes report 1).
-    fn leaf_shards(&self, mask: MaskState, stats: &TaskStats) -> usize {
-        if mask.masked == Tri::Yes {
-            return 1;
-        }
-        let rows = stats.rows;
-        if !self.cfg.parallel || rows == 0 {
-            return 1;
-        }
-        match self.cfg.shards {
-            Some(forced) => forced.min(rows),
-            None => self
-                .workers()
-                .min(rows.div_ceil(self.cfg.min_shard_rows))
-                .max(1),
-        }
-    }
-
-    fn workers(&self) -> usize {
-        if self.cfg.parallel {
-            std::thread::available_parallelism()
-                .map(|w| w.get())
-                .unwrap_or(1)
-        } else {
-            1
-        }
+            .saturating_add(
+                self.structural_scratch(
+                    &matchers
+                        .iter()
+                        .map(|name| self.library.get(name))
+                        .collect::<Vec<_>>(),
+                    stats,
+                ),
+            )
     }
 }
 
@@ -1578,24 +1361,6 @@ fn bounded(selection: Option<u64>, mask_hi: u64, feedback: usize, cells: u64) ->
         None => mask_hi,
     };
     base.saturating_add(feedback as u64).min(cells)
-}
-
-fn density(pairs: u64, cells: u64) -> f64 {
-    if cells == 0 {
-        0.0
-    } else {
-        (pairs as f64 / cells as f64).min(1.0)
-    }
-}
-
-/// `Yes` iff both are `Yes`, `No` if either is definitely `No` — the
-/// "all slices sparse" combination for a stage cube.
-fn all_of(a: Tri, b: Tri) -> Tri {
-    match (a, b) {
-        (Tri::Yes, Tri::Yes) => Tri::Yes,
-        (Tri::No, _) | (_, Tri::No) => Tri::No,
-        _ => Tri::Maybe,
-    }
 }
 
 #[cfg(test)]

@@ -7,29 +7,21 @@
 //! system-wide picture):
 //!
 //! * **parallel leaf fan-out** — the independent matchers of a
-//!   [`MatchPlan::Matchers`] leaf run on scoped threads (capped by the
-//!   machine's available parallelism), with slices assembled in
-//!   declaration order so results stay deterministic;
-//! * **row-sharded dense execution** — an unrestricted (full
-//!   cross-product) compute of a
+//!   [`MatchPlan::Matchers`] leaf run on scoped threads, with slices
+//!   assembled in declaration order so results stay deterministic;
+//! * **row-sharded dense execution** — an unrestricted compute of a
 //!   [`row_shardable`](crate::Matcher::row_shardable) matcher is split
 //!   into contiguous row ranges ([`shard_ranges`]) computed via
 //!   [`compute_rows`](crate::Matcher::compute_rows) on scoped threads and
 //!   stitched back together ([`SimMatrix::from_row_shards`]) —
-//!   bit-identical to the single-shard computation for any shard count
-//!   ([`EngineConfig::shards`] forces one; property-tested);
-//! * **streaming-fused pruning** — a prunable stage
-//!   (`TopK { input: Matchers, .. }` or a thresholded
-//!   `Filter { input: Matchers, .. }`) over an *unrestricted* context
-//!   fuses compute→prune inside each row shard: every matcher computes
-//!   one shard via `compute_rows`, the shard cube is aggregated and the
-//!   leaf's selection applied immediately, and only the surviving cells
-//!   are assembled (CSR fragments joined by
-//!   [`SimMatrix::from_row_shards`]) — the full dense matrix is never
-//!   allocated, and the result is bit-identical to the unfused path
-//!   (property-tested; see [`EngineConfig::fuse_pruning`]). Fused stages
-//!   report [`StageOutcome::fused`] and skip materializing the inner
-//!   `Matchers` stage;
+//!   bit-identical for any shard count ([`EngineConfig::shards`]);
+//! * **streaming-fused pruning** — a `TopK` or thresholded `Filter`
+//!   directly over a `Matchers` leaf, in an *unrestricted* context,
+//!   computes, aggregates and prunes inside each row shard, so only the
+//!   surviving cells are assembled and the full dense matrix is never
+//!   allocated — bit-identical to the unfused path
+//!   ([`EngineConfig::fuse_pruning`]). Fused stages report
+//!   [`StageOutcome::fused`] and skip materializing the inner stage;
 //! * **memoized shared work** — a per-execution [`MatchMemo`] caches
 //!   tokenizations, token tables, per-matcher matrices and keyed
 //!   leaf tables, so hybrids and overlapping sub-plans stop recomputing
@@ -45,11 +37,13 @@
 //!   sub-plan to a fixpoint — and every stage still materializes a
 //!   [`SimCube`] so repository storage and evaluation re-combination keep
 //!   working;
-//! * **sparse execution** — once a restriction survives a `TopK`/`Seq`
-//!   stage, [`sparse_capable`](crate::Matcher::sparse_capable) matchers
-//!   (the structural `Children`/`Leaves`) compute set similarities only
-//!   for the allowed pairs and their recursive dependencies instead of
-//!   the full cross-product, with bit-identical results
+//! * **sparse execution and storage** — under a restriction at most
+//!   [`EngineConfig::sparse_density_cutoff`] dense,
+//!   [`sparse_capable`](crate::Matcher::sparse_capable) matchers (the
+//!   structural `Children`/`Leaves`) compute only the allowed pairs and
+//!   their recursive dependencies, and matcher slices, `TopK`-pruned and
+//!   pair matrices are stored CSR — value-identical, and what keeps
+//!   5k–50k-node tasks inside a sane memory budget
 //!   ([`EngineConfig::sparse`] switches the path off for comparison);
 //! * **sub-linear candidate generation** — a
 //!   [`MatchPlan::CandidateIndex`] leaf retrieves its candidate pairs
@@ -57,15 +51,11 @@
 //!   postings with synonym expansion, plus q-gram postings for fuzzy
 //!   recall) in time proportional to posting traffic — as the filter
 //!   side of a `Seq`, the first stage never touches the `m × n` cross
-//!   product at all (every other mode above still computes it at least
-//!   once);
-//! * **sparse storage** — the same density decision picks each restricted
-//!   stage's physical [`SimMatrix`] representation: below the cutoff,
-//!   matcher slices, `TopK`-pruned matrices and pair matrices are stored
-//!   CSR (holding only the surviving cells) instead of as dense `m × n`
-//!   buffers, which is what keeps 5k–50k-node tasks inside a sane memory
-//!   budget. Storage is invisible to consumers: equality, aggregation,
-//!   selection and serialization are all value-based.
+//!   product at all.
+//!
+//! Every storage, fusion, shard and worker decision above comes from one
+//! rule set (`engine/physical.rs`), which the [`PlanAnalyzer`] evaluates
+//! over bounds to predict an execution without running it.
 //!
 //! Building and executing a pruned plan end to end:
 //!
@@ -111,19 +101,22 @@ mod cache;
 mod index;
 mod mask;
 mod memo;
+mod physical;
 mod plan;
 
 pub use analyze::{
-    human_bytes, NodeFacts, PlanAnalysis, PlanAnalyzer, PlanDiagnostic, Severity, TaskStats, Tri,
+    human_bytes, NodeFacts, PlanAnalysis, PlanAnalyzer, PlanDiagnostic, Severity, TaskStats,
 };
 pub use cache::{schema_fingerprint, CacheStats, EngineCache, ScopeWarmth};
 pub use index::{CandidateParams, CandidateScorer, IndexStats, VocabIndex};
 pub use mask::PairMask;
 pub use memo::{matcher_identity, MatchMemo};
+pub use physical::Tri;
 pub use plan::{MatchPlan, PlanError, PlanErrorKind, TopKPer};
 
 use crate::combine::{
-    directional_wants, rank_entries, sort_desc, CombinationStrategy, DirectedCandidates,
+    directional_wants, rank_entries, sort_desc, Aggregation, CombinationStrategy, CombinedSim,
+    DirectedCandidates, Direction, Selection,
 };
 use crate::cube::{SimCube, SimMatrix, SparseBuilder};
 use crate::error::{CoreError, Result};
@@ -133,6 +126,7 @@ use crate::matchers::{Matcher, MatcherLibrary};
 use crate::process::{combine_cube_with_feedback, MatchOutcome};
 use crate::result::MatchResult;
 use crate::reuse::{ReuseResolver, ReuseStats};
+use physical::Density;
 use std::sync::Arc;
 
 /// One materialized stage of a plan execution: the cube of similarity
@@ -381,76 +375,50 @@ impl<'l> PlanEngine<'l> {
         &self.cfg
     }
 
-    /// Whether a stage restricted by `mask` should store its matrices
-    /// sparse: the engine's sparse path is on and the mask has pruned the
-    /// pair space below the density cutoff.
+    /// Whether a stage restricted by `mask` stores its matrices sparse
+    /// ([`physical::sparse_at`] over the mask's exact density).
     fn sparse_storage(&self, mask: &PairMask) -> bool {
-        self.cfg.sparse && mask.density() <= self.cfg.sparse_density_cutoff
-    }
-
-    /// How many row shards an unrestricted compute over `rows` rows
-    /// should use: the forced count when [`EngineConfig::shards`] set
-    /// one, otherwise the `budget` of workers this compute may occupy
-    /// (`available_parallelism()` divided by the leaf's concurrent
-    /// matcher fan-out, so a multi-matcher leaf never oversubscribes the
-    /// machine quadratically), bounded so every shard keeps at least
-    /// [`EngineConfig::min_shard_rows`] rows. Always 1 when parallelism
-    /// is off, and clamped so no shard is ever empty.
-    fn planned_shards(&self, rows: usize, budget: usize) -> usize {
-        if !self.cfg.parallel || rows == 0 {
-            return 1;
-        }
-        match self.cfg.shards {
-            Some(forced) => forced.min(rows),
-            None => budget.min(rows.div_ceil(self.cfg.min_shard_rows)).max(1),
-        }
+        physical::sparse_at(&self.cfg, Density::Exact(mask.density())).holds()
     }
 
     /// One matcher's full (unrestricted) matrix, row-sharded across
-    /// scoped threads when the matcher supports it and the task is big
-    /// enough — assembled in row order, bit-identical to a single
+    /// scoped threads per [`physical::unrestricted_shards`] with the
+    /// worker `budget` — assembled in row order, bit-identical to a single
     /// [`Matcher::compute`] call. Returns the matrix and the number of
-    /// shards actually executed. `budget` is the worker budget for
-    /// automatic shard sizing (see [`PlanEngine::planned_shards`]).
+    /// shards actually executed.
     fn compute_unrestricted(
         &self,
         ctx: MatchContext<'_>,
         matcher: &Arc<dyn Matcher>,
         budget: usize,
     ) -> (SimMatrix, usize) {
-        let shards = self.planned_shards(ctx.rows(), budget);
-        if shards <= 1 || !matcher.row_shardable() {
+        let shards =
+            physical::unrestricted_shards(&self.cfg, ctx.rows(), matcher.row_shardable(), budget);
+        if shards == 1 {
             return (matcher.compute(&ctx), 1);
         }
-        let ranges = shard_ranges(ctx.rows(), shards);
-        let mut parts: Vec<Option<SimMatrix>> = (0..ranges.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (slot, range) in parts.iter_mut().zip(&ranges) {
-                let range = range.clone();
-                scope.spawn(move || *slot = Some(matcher.compute_rows(&ctx, range)));
-            }
-        });
-        let shards = ranges.len();
-        let matrix = SimMatrix::from_row_shards(
-            ctx.cols(),
-            parts
-                .into_iter()
-                .map(|p| p.expect("every shard thread ran to completion"))
-                .collect(),
+        // One thread per shard, each computing its rows' dense slice.
+        let matrix = scan_shards(
+            (ctx.rows(), ctx.cols()),
+            &shard_ranges(ctx.rows(), shards),
+            shards,
+            |chunk| {
+                let slices = chunk
+                    .iter()
+                    .map(|rows| matcher.compute_rows(&ctx, rows.clone()));
+                (slices.collect(), Vec::new())
+            },
+            |pooled| pooled,
         );
         (matrix, shards)
     }
 
     /// An `m × n` matrix holding a result's selected pair similarities
-    /// (zero elsewhere) — CSR-stored when the engine's sparse path is on
-    /// and the selected pairs are sparse in the pair space, dense
-    /// otherwise.
+    /// (zero elsewhere), stored per [`physical::pair_matrix_sparse`].
     fn pair_matrix(&self, ctx: &MatchContext<'_>, result: &MatchResult) -> SimMatrix {
-        let cells = ctx.rows() * ctx.cols();
-        let sparse = self.cfg.sparse
-            && cells > 0
-            && (result.len() as f64 / cells as f64) <= self.cfg.sparse_density_cutoff;
-        if sparse {
+        let cells = (ctx.rows() * ctx.cols()) as u64;
+        let selected = Density::Exact(physical::density(result.len() as u64, cells));
+        if physical::pair_matrix_sparse(&self.cfg, selected, cells).holds() {
             SimMatrix::from_entries(
                 ctx.rows(),
                 ctx.cols(),
@@ -460,7 +428,11 @@ impl<'l> PlanEngine<'l> {
                     .map(|c| (c.source.index(), c.target.index(), c.similarity)),
             )
         } else {
-            pair_matrix_dense(ctx, result)
+            let mut matrix = SimMatrix::new(ctx.rows(), ctx.cols());
+            for c in &result.candidates {
+                matrix.set(c.source.index(), c.target.index(), c.similarity);
+            }
+            matrix
         }
     }
 
@@ -526,7 +498,21 @@ impl<'l> PlanEngine<'l> {
         mask: Option<&PairMask>,
         stages: &mut Vec<StageOutcome>,
     ) -> Result<MatchResult> {
-        match plan {
+        let stage = |cube: SimCube, result: MatchResult| StageOutcome {
+            label: plan.label(),
+            cube,
+            result,
+            shards: 1,
+            fused: false,
+            index_stats: None,
+            reuse_stats: None,
+        };
+        let single = |name: &str, matrix: SimMatrix| {
+            let mut cube = SimCube::new();
+            cube.push(name, matrix);
+            cube
+        };
+        let mut outcome = match plan {
             MatchPlan::Matchers {
                 matchers,
                 combination,
@@ -534,16 +520,10 @@ impl<'l> PlanEngine<'l> {
                 let (cube, shards) = self.execute_leaf(ctx, matchers, mask)?;
                 let result =
                     combine_cube_with_feedback(&cube, &ctx, combination, &ctx.aux.feedback);
-                stages.push(StageOutcome {
-                    label: plan.label(),
-                    cube,
-                    result: result.clone(),
+                StageOutcome {
                     shards,
-                    fused: false,
-                    index_stats: None,
-                    reuse_stats: None,
-                });
-                Ok(result)
+                    ..stage(cube, result)
+                }
             }
             MatchPlan::Seq { filter, refine } => {
                 let first = self.exec(ctx, filter, mask, stages)?;
@@ -552,7 +532,7 @@ impl<'l> PlanEngine<'l> {
                     Some(outer) => survivors.intersect(outer),
                     None => survivors,
                 };
-                self.exec(ctx, refine, Some(&restricted), stages)
+                return self.exec(ctx, refine, Some(&restricted), stages);
             }
             MatchPlan::Par { plans, combination } => {
                 let mut slices: Vec<(String, MatchResult)> = Vec::with_capacity(plans.len());
@@ -565,10 +545,7 @@ impl<'l> PlanEngine<'l> {
                 // Weighted aggregation is the exception — its weights pair
                 // with sub-plans positionally, so declaration order is
                 // meaningful and must be kept.
-                if !matches!(
-                    combination.aggregation,
-                    crate::combine::Aggregation::Weighted(_)
-                ) {
+                if !matches!(combination.aggregation, Aggregation::Weighted(_)) {
                     slices.sort_by(|a, b| a.0.cmp(&b.0));
                 }
                 let mut cube = SimCube::new();
@@ -577,16 +554,7 @@ impl<'l> PlanEngine<'l> {
                 }
                 let result =
                     combine_cube_with_feedback(&cube, &ctx, combination, &ctx.aux.feedback);
-                stages.push(StageOutcome {
-                    label: plan.label(),
-                    cube,
-                    result: result.clone(),
-                    shards: 1,
-                    fused: false,
-                    index_stats: None,
-                    reuse_stats: None,
-                });
-                Ok(result)
+                stage(cube, result)
             }
             MatchPlan::Filter {
                 input,
@@ -594,36 +562,21 @@ impl<'l> PlanEngine<'l> {
                 selection,
                 combined_sim,
             } => {
-                let fused = self.try_fuse(ctx, input, mask);
-                let (inner, fused_shards) = match fused {
-                    Some((inner, shards)) => (inner, Some(shards)),
-                    None => (self.exec(ctx, input, mask, stages)?, None),
-                };
+                let (inner, fused_shards) = self.prunable_input(ctx, input, mask, stages)?;
                 let matrix = self.pair_matrix(&ctx, &inner);
                 let candidates = DirectedCandidates::select(&matrix, *direction, selection);
                 let schema_similarity =
                     combined_sim.compute(&candidates, matrix.rows(), matrix.cols());
                 let result =
                     MatchResult::from_pairs(&ctx, candidates.pairs(), Some(schema_similarity));
-                let mut cube = SimCube::new();
-                cube.push("Filtered", matrix);
-                stages.push(StageOutcome {
-                    label: plan.label(),
-                    cube,
-                    result: result.clone(),
+                StageOutcome {
                     shards: fused_shards.unwrap_or(1),
                     fused: fused_shards.is_some(),
-                    index_stats: None,
-                    reuse_stats: None,
-                });
-                Ok(result)
+                    ..stage(single("Filtered", matrix), result)
+                }
             }
             MatchPlan::TopK { input, k, per } => {
-                let fused = self.try_fuse(ctx, input, mask);
-                let (inner, fused_shards) = match fused {
-                    Some((inner, shards)) => (inner, Some(shards)),
-                    None => (self.exec(ctx, input, mask, stages)?, None),
-                };
+                let (inner, fused_shards) = self.prunable_input(ctx, input, mask, stages)?;
                 let matrix = self.pair_matrix(&ctx, &inner);
                 let keep = PairMask::top_k_of(&matrix, *k, *per);
                 let kept: Vec<(usize, usize, f64)> = inner
@@ -641,29 +594,13 @@ impl<'l> PlanEngine<'l> {
                 // pairs (like `Filter` does), not carried over from the
                 // pre-pruning result, so it stays consistent with the
                 // candidates this stage actually reports.
-                let survivors = DirectedCandidates::select(
-                    &pruned,
-                    crate::combine::Direction::Both,
-                    &crate::combine::Selection::threshold(0.0),
-                );
-                let schema_similarity = crate::combine::CombinedSim::Average.compute(
-                    &survivors,
-                    ctx.rows(),
-                    ctx.cols(),
-                );
+                let schema_similarity = emitted_similarity(&pruned);
                 let result = MatchResult::from_pairs(&ctx, kept, Some(schema_similarity));
-                let mut cube = SimCube::new();
-                cube.push("TopK", pruned);
-                stages.push(StageOutcome {
-                    label: plan.label(),
-                    cube,
-                    result: result.clone(),
+                StageOutcome {
                     shards: fused_shards.unwrap_or(1),
                     fused: fused_shards.is_some(),
-                    index_stats: None,
-                    reuse_stats: None,
-                });
-                Ok(result)
+                    ..stage(single("TopK", pruned), result)
+                }
             }
             MatchPlan::Iterate {
                 plan: sub,
@@ -695,18 +632,10 @@ impl<'l> PlanEngine<'l> {
                     });
                 }
                 let result = result.expect("Iterate ran at least one round");
-                let mut cube = SimCube::new();
-                cube.push("Iterate", prev.expect("Iterate ran at least one round"));
-                stages.push(StageOutcome {
-                    label: plan.label(),
-                    cube,
-                    result: result.clone(),
-                    shards: 1,
-                    fused: false,
-                    index_stats: None,
-                    reuse_stats: None,
-                });
-                Ok(result)
+                stage(
+                    single("Iterate", prev.expect("Iterate ran at least one round")),
+                    result,
+                )
             }
             MatchPlan::Reuse {
                 kind,
@@ -727,20 +656,13 @@ impl<'l> PlanEngine<'l> {
                         mask.apply(&mut slice);
                     }
                 }
-                let mut cube = SimCube::new();
-                cube.push("Reuse", slice);
+                let cube = single("Reuse", slice);
                 let result =
                     combine_cube_with_feedback(&cube, &ctx, combination, &ctx.aux.feedback);
-                stages.push(StageOutcome {
-                    label: plan.label(),
-                    cube,
-                    result: result.clone(),
-                    shards: 1,
-                    fused: false,
-                    index_stats: None,
+                StageOutcome {
                     reuse_stats: Some(reuse_stats),
-                });
-                Ok(result)
+                    ..stage(cube, result)
+                }
             }
             MatchPlan::CandidateIndex {
                 min_shared_tokens,
@@ -756,32 +678,48 @@ impl<'l> PlanEngine<'l> {
                 let (slice, shards, stats) = self.candidate_stage(ctx, *q, params, mask);
                 // Like `TopK`: the schema similarity is the average of the
                 // pairs this stage actually emits.
-                let survivors = DirectedCandidates::select(
-                    &slice,
-                    crate::combine::Direction::Both,
-                    &crate::combine::Selection::threshold(0.0),
-                );
-                let schema_similarity = crate::combine::CombinedSim::Average.compute(
-                    &survivors,
-                    ctx.rows(),
-                    ctx.cols(),
-                );
+                let schema_similarity = emitted_similarity(&slice);
                 let pairs: Vec<(usize, usize, f64)> = slice.nonzero().collect();
                 let result = MatchResult::from_pairs(&ctx, pairs, Some(schema_similarity));
-                let mut cube = SimCube::new();
-                cube.push("CandidateIndex", slice);
-                stages.push(StageOutcome {
-                    label: plan.label(),
-                    cube,
-                    result: result.clone(),
+                StageOutcome {
                     shards,
-                    fused: false,
                     index_stats: Some(stats),
-                    reuse_stats: None,
-                });
-                Ok(result)
+                    ..stage(single("CandidateIndex", slice), result)
+                }
+            }
+        };
+        // The stage keeps an exact-capacity copy for the rest of the
+        // execution; the caller gets the result as built.
+        let copy = outcome.result.clone();
+        let result = std::mem::replace(&mut outcome.result, copy);
+        stages.push(outcome);
+        Ok(result)
+    }
+
+    /// The result of a prunable (`Filter`/`TopK`) stage's input, plus
+    /// the shard count when it ran on the streaming-fused path — which it
+    /// does when [`physical::fusion`] admits the input and the stage runs
+    /// unrestricted, bit-identically to the unfused execution (as a stage
+    /// of its own) it otherwise takes.
+    fn prunable_input(
+        &self,
+        ctx: MatchContext<'_>,
+        input: &MatchPlan,
+        mask: Option<&PairMask>,
+        stages: &mut Vec<StageOutcome>,
+    ) -> Result<(MatchResult, Option<usize>)> {
+        let fusion = physical::fusion(&self.cfg, self.library, input, ctx.aux.feedback.len());
+        if fusion.fused(Tri::from_bool(mask.is_some())).holds() {
+            if let physical::Fusion::Leaf {
+                matchers,
+                combination,
+            } = fusion
+            {
+                let (inner, shards) = self.fused_leaf(ctx, &matchers, combination);
+                return Ok((inner, Some(shards)));
             }
         }
+        Ok((self.exec(ctx, input, mask, stages)?, None))
     }
 
     /// Executes a `CandidateIndex` leaf: fetches (or builds — once per
@@ -819,69 +757,36 @@ impl<'l> PlanEngine<'l> {
         };
         let scorer = CandidateScorer::new(&source, &target, &ctx.aux.synonyms, params);
 
-        let workers = if self.cfg.parallel {
-            std::thread::available_parallelism()
-                .map(|w| w.get())
-                .unwrap_or(1)
-        } else {
-            1
-        };
-        let shards = self.planned_shards(m, workers);
-        let ranges = shard_ranges(m, shards);
-        let shards = ranges.len().max(1);
-        let threads = workers.min(shards).max(1);
-        let chunk = ranges.len().div_ceil(threads).max(1);
-        type WorkerOut = (Vec<SimMatrix>, Vec<(usize, usize, f64)>);
-        let mut outs: Vec<Option<WorkerOut>> =
-            (0..ranges.len().div_ceil(chunk)).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (slot, range_chunk) in outs.iter_mut().zip(ranges.chunks(chunk)) {
-                if threads == 1 {
-                    *slot = Some(scorer.fill_ranges(range_chunk, mask));
-                } else {
-                    let scorer = &scorer;
-                    scope.spawn(move || *slot = Some(scorer.fill_ranges(range_chunk, mask)));
-                }
-            }
-        });
-        let mut fragments: Vec<SimMatrix> = Vec::with_capacity(ranges.len());
-        let mut pooled: Vec<(usize, usize, f64)> = Vec::new();
-        for out in outs {
-            let (frags, pool) = out.expect("every candidate worker ran to completion");
-            fragments.extend(frags);
-            pooled.extend(pool);
-        }
-        let row_side = SimMatrix::from_row_shards(n, fragments);
-        let row_side = if row_side.rows() == m {
-            row_side
-        } else {
-            debug_assert_eq!(row_side.rows(), 0, "fragments covered a partial row space");
-            SimMatrix::sparse(m, n)
-        };
+        let workers = physical::workers(&self.cfg);
+        let shards = physical::unrestricted_shards(&self.cfg, m, true, workers);
         // Per-element cap: the row fragments already hold each source
         // element's best `cap`; the pooled per-column candidates (a
         // folded superset, like the fused pipeline's pools) are
         // re-selected globally and unioned in — `TopKPer::Both`
         // semantics, so no element of either side is stranded.
-        let survivors = match params.per_element {
-            Some(cap) if !pooled.is_empty() => {
-                merge_pooled(&row_side, index::select_pooled(pooled, cap))
-            }
-            _ => row_side,
-        };
-        let survivors = if self.cfg.sparse {
+        let survivors = scan_shards(
+            (m, n),
+            &shard_ranges(m, shards),
+            workers,
+            |chunk| scorer.fill_ranges(chunk, mask),
+            |pooled| match params.per_element {
+                Some(cap) => index::select_pooled(pooled, cap),
+                None => pooled,
+            },
+        );
+        // Dense-mode oracle: same values, dense storage — keeps the
+        // sparse-vs-dense comparison property meaningful for this leaf
+        // too.
+        let survivors = if physical::candidate_sparse(&self.cfg).holds() {
             survivors
         } else {
-            // Dense-mode oracle: same values, dense storage — keeps the
-            // sparse-vs-dense comparison property meaningful for this
-            // leaf too.
             survivors.into_dense()
         };
         (survivors, shards, stats)
     }
 
-    /// Executes a leaf's matchers — in parallel when the machine and the
-    /// engine configuration allow it — and assembles their slices into a
+    /// Executes a leaf's matchers — spread over the workers per
+    /// [`physical::leaf_fan_out`] — and assembles their slices into a
     /// cube in declaration order (deterministic under any scheduling).
     /// Also returns the stage's shard count: the largest number of row
     /// shards any fresh unrestricted slice compute used (see
@@ -892,81 +797,48 @@ impl<'l> PlanEngine<'l> {
         names: &[String],
         mask: Option<&PairMask>,
     ) -> Result<(SimCube, usize)> {
-        let matchers: Vec<(String, Arc<dyn Matcher>)> = names
+        let matchers: Vec<Arc<dyn Matcher>> = names
             .iter()
             .map(|name| {
                 self.library
                     .get(name)
-                    .map(|m| (name.clone(), m))
                     .ok_or_else(|| CoreError::UnknownMatcher(name.clone()))
             })
             .collect::<Result<_>>()?;
-
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        // The worker budget each slice compute may occupy with row
-        // shards: the whole machine for a single-matcher leaf, the
-        // remainder after the leaf's own matcher fan-out otherwise —
-        // total threads stay bounded by ~`workers` either way.
-        let fan_out = if self.cfg.parallel && workers > 1 && matchers.len() > 1 {
-            workers.min(matchers.len())
-        } else {
-            1
-        };
-        let budget = (workers / fan_out).max(1);
-        let compute_one = |matcher: &Arc<dyn Matcher>| -> (Arc<SimMatrix>, usize) {
-            self.compute_slice(ctx, matcher, mask, budget)
-        };
-
-        let mut slots: Vec<Option<(Arc<SimMatrix>, usize)>> =
-            (0..matchers.len()).map(|_| None).collect();
-        // In an unrestricted stage, a matcher that another matcher of the
-        // stage reads as its leaf matcher (`TypeName` under `All`) is
-        // computed first, on the whole worker budget: its dense slice is
-        // then memoized before any structural reader asks for the keyed
-        // table, and the readers key that matrix by identity instead of
-        // building a second table beside it.
-        if mask.is_none() && ctx.memo.is_some() {
-            let leaf_ids: Vec<usize> = matchers
-                .iter()
-                .filter_map(|(_, m)| m.leaf_matcher())
-                .map(|leaf| matcher_identity(&**leaf))
-                .collect();
-            for (slot, (_, matcher)) in slots.iter_mut().zip(&matchers) {
-                if leaf_ids.contains(&matcher_identity(&**matcher)) {
-                    *slot = Some(self.compute_slice(ctx, matcher, None, workers));
-                }
-            }
-        }
-        if self.cfg.parallel && workers > 1 && matchers.len() > 1 {
-            // At most `workers` threads, each owning a contiguous chunk of
-            // matcher slots.
-            let chunk = matchers.len().div_ceil(workers.min(matchers.len()));
-            std::thread::scope(|scope| {
-                for (slot_chunk, matcher_chunk) in
-                    slots.chunks_mut(chunk).zip(matchers.chunks(chunk))
-                {
-                    scope.spawn(move || {
-                        for (slot, (_, matcher)) in slot_chunk.iter_mut().zip(matcher_chunk) {
-                            if slot.is_none() {
-                                *slot = Some(compute_one(matcher));
-                            }
+        let fan_out = physical::leaf_fan_out(
+            physical::workers(&self.cfg),
+            &matchers,
+            Tri::from_bool(mask.is_some()),
+        );
+        let compute_one =
+            |i: usize| self.compute_slice(ctx, &matchers[i], mask, fan_out.budgets[i]);
+        let mut slots: Vec<Option<(Arc<SimMatrix>, usize)>> = (0..matchers.len())
+            .map(|i| fan_out.first[i].then(|| compute_one(i)))
+            .collect();
+        // Each thread owns a contiguous chunk of matcher slots; a single
+        // one runs in the calling thread.
+        let chunk = matchers.len().div_ceil(fan_out.threads).max(1);
+        std::thread::scope(|scope| {
+            for (c, slot_chunk) in slots.chunks_mut(chunk).enumerate() {
+                let compute_one = &compute_one;
+                let mut run = move || {
+                    for (k, slot) in slot_chunk.iter_mut().enumerate() {
+                        if slot.is_none() {
+                            *slot = Some(compute_one(c * chunk + k));
                         }
-                    });
-                }
-            });
-        } else {
-            for (slot, (_, matcher)) in slots.iter_mut().zip(&matchers) {
-                if slot.is_none() {
-                    *slot = Some(compute_one(matcher));
+                    }
+                };
+                if fan_out.threads == 1 {
+                    run();
+                } else {
+                    scope.spawn(run);
                 }
             }
-        }
+        });
 
         let mut cube = SimCube::new();
         let mut shards = 1;
-        for ((name, _), slot) in matchers.iter().zip(slots) {
+        for (name, slot) in names.iter().zip(slots) {
             let (slice, slice_shards) = slot.expect("slice computed");
             shards = shards.max(slice_shards);
             cube.push_shared(name.clone(), slice);
@@ -977,7 +849,7 @@ impl<'l> PlanEngine<'l> {
     /// One matcher's slice, through the memo and under the stage mask,
     /// plus the number of row shards the computation used (1 unless a
     /// fresh unrestricted compute was sharded). The slice's storage
-    /// follows [`PlanEngine::sparse_storage`]: pruned stages keep CSR
+    /// follows [`physical::stage_sparse`]: pruned stages keep CSR
     /// slices, unpruned (or dense-mode) stages keep dense ones — with
     /// identical logical values either way.
     fn compute_slice(
@@ -997,120 +869,57 @@ impl<'l> PlanEngine<'l> {
             sharded.set(shards);
             matrix
         };
-        match (mask, ctx.memo) {
-            // Unrestricted: memoize the full matrix across stages and
-            // sub-plans — the stage cube shares the memo's allocation.
-            (None, Some(memo)) => {
-                let slice = memo.matrix(name, identity, matcher.pure(), full_compute);
-                (slice, sharded.get())
-            }
-            (None, None) => {
-                let slice = Arc::new(full_compute());
-                (slice, sharded.get())
-            }
-            (Some(mask), memo) => {
-                let sparse_store = self.sparse_storage(mask);
-                // A keyed table or full matrix computed earlier (e.g. the
-                // `TypeName` leaf table a structural matcher of this task
-                // built) is cheaper to mask than to recompute.
-                let cached = memo.and_then(|m| {
-                    m.cached_keyed(name, identity).or_else(|| {
-                        m.cached_matrix(name, identity)
-                            .map(|full| Arc::new(KeyedSims::identity(full)))
-                    })
-                });
-                if let Some(keyed) = cached {
-                    return (Arc::new(keyed.masked(mask, sparse_store)), 1);
-                }
-                // Cell-local matchers always honor the restriction; other
-                // sparse-capable matchers (the structural ones) take the
-                // sparse path only when the mask prunes enough of the pair
-                // space to beat computing a full, memoizable matrix.
-                let honors_restriction = matcher.cell_local()
-                    || (self.cfg.sparse
-                        && matcher.sparse_capable()
-                        && mask.density() <= self.cfg.sparse_density_cutoff);
-                if honors_restriction {
-                    // The matcher skips disallowed cells itself; the final
-                    // mask application is a cheap safety net for
-                    // implementations that ignore the restriction (and
-                    // normalizes the slice to the stage's storage mode).
-                    let restricted = ctx.with_restriction(mask);
-                    let out = matcher.compute(&restricted);
-                    let slice = Arc::new(if sparse_store {
-                        mask.masked_sparse(&out)
-                    } else {
-                        let mut out = out.into_dense();
-                        mask.apply(&mut out);
-                        out
-                    });
-                    (slice, 1)
-                } else {
-                    // Global matchers need the full search space for
-                    // correct set similarities; compute (and memoize)
-                    // full — row-sharded when the matcher supports it —
-                    // then mask the copy.
-                    let full = match memo {
-                        Some(m) => m.matrix(name, identity, matcher.pure(), full_compute),
-                        None => Arc::new(full_compute()),
-                    };
-                    let slice = Arc::new(if sparse_store {
-                        mask.masked_sparse(&full)
-                    } else {
-                        mask.masked_clone(&full)
-                    });
-                    (slice, sharded.get())
-                }
-            }
-        }
-    }
-
-    /// Attempts the streaming-fused execution of a prunable stage's
-    /// *input* leaf. Fusion engages when `input` is a `Matchers` leaf
-    /// whose selection actually prunes (`max_n` or `threshold` present),
-    /// every leaf matcher is
-    /// [`row_shardable`](crate::Matcher::row_shardable), the context is
-    /// unrestricted, no feedback is pinned, and the engine's sparse path
-    /// is on. Returns the leaf's exact `MatchResult` — bit-identical to
-    /// unfused execution (property-tested) — plus the shard count, or
-    /// `None` when fusion does not apply (the caller falls back to the
-    /// regular recursive execution).
-    fn try_fuse(
-        &self,
-        ctx: MatchContext<'_>,
-        input: &MatchPlan,
-        mask: Option<&PairMask>,
-    ) -> Option<(MatchResult, usize)> {
-        if !(self.cfg.fuse_pruning && self.cfg.sparse)
-            || mask.is_some()
-            || !ctx.aux.feedback.is_empty()
-        {
-            return None;
-        }
-        let MatchPlan::Matchers {
-            matchers,
-            combination,
-        } = input
-        else {
-            return None;
+        // The full matrix, memoized across stages and sub-plans: an
+        // unrestricted stage's cube shares the memo's allocation.
+        let full = || match ctx.memo {
+            Some(memo) => memo.matrix(name, identity, matcher.pure(), full_compute),
+            None => Arc::new(full_compute()),
         };
-        // An unbounded selection keeps every nonzero cell: there is
-        // nothing to prune inside a shard, and "fusing" would only
-        // rebuild the full matrix in CSR form.
-        if combination.selection.max_n.is_none() && combination.selection.threshold.is_none() {
-            return None;
+        let Some(mask) = mask else {
+            let slice = full();
+            return (slice, sharded.get());
+        };
+        let sparse_store = self.sparse_storage(mask);
+        // A keyed table or full matrix computed earlier (e.g. the
+        // `TypeName` leaf table a structural matcher of this task built)
+        // is cheaper to mask than to recompute.
+        let cached = ctx.memo.and_then(|m| {
+            m.cached_keyed(name, identity).or_else(|| {
+                m.cached_matrix(name, identity)
+                    .map(|full| Arc::new(KeyedSims::identity(full)))
+            })
+        });
+        if let Some(keyed) = cached {
+            return (Arc::new(keyed.masked(mask, sparse_store)), 1);
         }
-        let resolved: Vec<(String, Arc<dyn Matcher>)> = matchers
-            .iter()
-            .map(|name| self.library.get(name).map(|m| (name.clone(), m)))
-            .collect::<Option<_>>()?;
-        if resolved.is_empty() || resolved.iter().any(|(_, m)| !m.row_shardable()) {
-            return None;
+        if physical::honors_restriction(&**matcher, Tri::from_bool(sparse_store)).holds() {
+            // The matcher skips disallowed cells itself; the final mask
+            // application is a cheap safety net for implementations that
+            // ignore the restriction (and normalizes the slice to the
+            // stage's storage mode).
+            let out = matcher.compute(&ctx.with_restriction(mask));
+            let slice = Arc::new(if sparse_store {
+                mask.masked_sparse(&out)
+            } else {
+                let mut out = out.into_dense();
+                mask.apply(&mut out);
+                out
+            });
+            return (slice, 1);
         }
-        Some(self.fused_leaf(ctx, &resolved, combination))
+        // Global matchers need the full search space for correct set
+        // similarities; compute (and memoize) full — row-sharded when the
+        // matcher supports it — then mask the copy.
+        let full = full();
+        let slice = Arc::new(if sparse_store {
+            mask.masked_sparse(&full)
+        } else {
+            mask.masked_clone(&full)
+        });
+        (slice, sharded.get())
     }
 
-    /// The fused pipeline behind [`PlanEngine::try_fuse`] — the engine's
+    /// The fused pipeline behind [`PlanEngine::prunable_input`] — the engine's
     /// third execution mode, next to dense and sparse-restricted. Each
     /// row shard (sized by [`EngineConfig::min_shard_rows`] unless
     /// [`EngineConfig::shards`] forces a count) runs
@@ -1140,98 +949,33 @@ impl<'l> PlanEngine<'l> {
         combination: &CombinationStrategy,
     ) -> (MatchResult, usize) {
         let (m, n) = (ctx.rows(), ctx.cols());
-        let shards = match self.cfg.shards {
-            Some(forced) => forced.min(m.max(1)),
-            None => m.div_ceil(self.cfg.min_shard_rows).max(1),
-        };
-        let ranges = shard_ranges(m, shards);
-        let shards = ranges.len().max(1);
-        let (want_for_targets, want_for_sources) = directional_wants(combination.direction, m, n);
-
-        // Worker threads, each processing a contiguous chunk of shards
-        // *sequentially* so it holds at most one shard's dense slices
-        // (one per matcher, plus their aggregate) in flight. The count
-        // is bounded by the machine, the shard count, and the fused
-        // in-flight budget — peak memory must not scale with the core
-        // count (see `EngineConfig::fuse_budget_bytes`).
-        let workers = if self.cfg.parallel {
-            std::thread::available_parallelism()
-                .map(|w| w.get())
-                .unwrap_or(1)
-        } else {
-            1
-        };
-        let shard_rows = ranges.first().map_or(0, ExactSizeIterator::len);
-        let inflight_bytes = shard_rows * n * 8 * (matchers.len() + 1);
-        let budget_cap = match inflight_bytes {
-            0 => workers,
-            b => (self.cfg.fuse_budget_bytes / b).max(1),
-        };
-        let threads = workers.min(budget_cap).min(shards).max(1);
-
-        let chunk = ranges.len().div_ceil(threads).max(1);
-        type WorkerOut = (Vec<SimMatrix>, Vec<(usize, usize, f64)>);
-        let mut outs: Vec<Option<WorkerOut>> =
-            (0..ranges.len().div_ceil(chunk)).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (slot, range_chunk) in outs.iter_mut().zip(ranges.chunks(chunk)) {
-                if threads == 1 {
-                    // Single worker: skip the spawn entirely.
-                    *slot = Some(self.fused_worker(
-                        ctx,
-                        matchers,
-                        combination,
-                        range_chunk,
-                        want_for_targets,
-                        want_for_sources,
-                    ));
-                } else {
-                    scope.spawn(move || {
-                        *slot = Some(self.fused_worker(
-                            ctx,
-                            matchers,
-                            combination,
-                            range_chunk,
-                            want_for_targets,
-                            want_for_sources,
-                        ));
-                    });
-                }
-            }
-        });
-
-        let mut fragments: Vec<SimMatrix> = Vec::with_capacity(ranges.len());
-        let mut pooled: Vec<(usize, usize, f64)> = Vec::new();
-        for out in outs {
-            let (frags, pool) = out.expect("every fused worker ran to completion");
-            fragments.extend(frags);
-            pooled.extend(pool);
-        }
-        // The row-side survivors, stitched in row order; `m × n` even
-        // when the direction skipped the per-source ranking (the
-        // fragments are then empty) or the task has no rows at all.
-        let row_side = SimMatrix::from_row_shards(n, fragments);
-        let row_side = if row_side.rows() == m {
-            row_side
-        } else {
-            debug_assert_eq!(row_side.rows(), 0, "fragments covered a partial row space");
-            SimMatrix::sparse(m, n)
-        };
-        let survivors = if pooled.is_empty() {
-            row_side
-        } else {
-            merge_pooled(&row_side, pooled)
-        };
+        // Each worker runs its chunk of shards *sequentially*, so it
+        // holds at most one shard's dense slices in flight; the sizing
+        // caps the workers by the fused in-flight budget.
+        let sizing = physical::fused_sizing(
+            &self.cfg,
+            Some(physical::workers(&self.cfg)),
+            m,
+            n,
+            matchers.len(),
+        );
+        let survivors = scan_shards(
+            (m, n),
+            &shard_ranges(m, sizing.shards),
+            sizing.threads,
+            |chunk| self.fused_worker(ctx, matchers, combination, chunk),
+            |pooled| pooled,
+        );
 
         // Identical to `combine_cube_with_feedback` on the full
-        // aggregate: feedback is empty (gated in `try_fuse`), and the
+        // aggregate: feedback is empty (a fusion precondition), and the
         // selection over the survivor matrix reproduces the global
         // directional candidate lists exactly.
         let candidates =
             DirectedCandidates::select(&survivors, combination.direction, &combination.selection);
         let schema_similarity = combination.combined_sim.compute(&candidates, m, n);
         let result = MatchResult::from_pairs(&ctx, candidates.pairs(), Some(schema_similarity));
-        (result, shards)
+        (result, sizing.shards)
     }
 
     /// One fused worker: runs its contiguous chunk of row shards
@@ -1245,10 +989,10 @@ impl<'l> PlanEngine<'l> {
         matchers: &[(String, Arc<dyn Matcher>)],
         combination: &CombinationStrategy,
         ranges: &[std::ops::Range<usize>],
-        want_for_targets: bool,
-        want_for_sources: bool,
-    ) -> (Vec<SimMatrix>, Vec<(usize, usize, f64)>) {
+    ) -> ScanOut {
         let n = ctx.cols();
+        let (want_for_targets, want_for_sources) =
+            directional_wants(combination.direction, ctx.rows(), n);
         let selection = &combination.selection;
         // Cells at or below the threshold (and zeros) can never be
         // selected in either direction; drop them before ranking or
@@ -1319,6 +1063,65 @@ impl<'l> PlanEngine<'l> {
     }
 }
 
+/// The schema similarity of a stage that emits every nonzero cell of
+/// `matrix`: the average over its pairs selected in both directions.
+fn emitted_similarity(matrix: &SimMatrix) -> f64 {
+    let emitted = DirectedCandidates::select(matrix, Direction::Both, &Selection::threshold(0.0));
+    CombinedSim::Average.compute(&emitted, matrix.rows(), matrix.cols())
+}
+
+/// A worker's output in a chunked shard scan: one CSR fragment per row
+/// range, plus pooled per-column cells carrying global row indices.
+type ScanOut = (Vec<SimMatrix>, Vec<(usize, usize, f64)>);
+
+/// The chunked shard scan behind every row-sharded execution (dense
+/// slices, the fused pipeline, the `CandidateIndex` leaf): spreads `ranges` over at most `threads` scoped
+/// workers, each running `work` on a contiguous chunk (no spawn when
+/// there is one worker); stitches the fragments in row order into an
+/// `m × n` matrix (empty when no fragment has rows, e.g. a direction
+/// that skips per-source ranking, or a task without rows); and unions
+/// in the pooled cells after `select` re-selects them.
+fn scan_shards(
+    (m, n): (usize, usize),
+    ranges: &[std::ops::Range<usize>],
+    threads: usize,
+    work: impl Fn(&[std::ops::Range<usize>]) -> ScanOut + Sync,
+    select: impl FnOnce(Vec<(usize, usize, f64)>) -> Vec<(usize, usize, f64)>,
+) -> SimMatrix {
+    let threads = threads.min(ranges.len()).max(1);
+    let chunk = ranges.len().div_ceil(threads).max(1);
+    let mut outs: Vec<Option<ScanOut>> = (0..ranges.len().div_ceil(chunk)).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        for (slot, range_chunk) in outs.iter_mut().zip(ranges.chunks(chunk)) {
+            if threads == 1 {
+                *slot = Some(work(range_chunk));
+            } else {
+                let work = &work;
+                scope.spawn(move || *slot = Some(work(range_chunk)));
+            }
+        }
+    });
+    let mut fragments: Vec<SimMatrix> = Vec::with_capacity(ranges.len());
+    let mut pooled: Vec<(usize, usize, f64)> = Vec::new();
+    for out in outs {
+        let (frags, pool) = out.expect("every scan worker ran to completion");
+        fragments.extend(frags);
+        pooled.extend(pool);
+    }
+    let row_side = SimMatrix::from_row_shards(n, fragments);
+    let row_side = if row_side.rows() == m {
+        row_side
+    } else {
+        debug_assert_eq!(row_side.rows(), 0, "fragments covered a partial row space");
+        SimMatrix::sparse(m, n)
+    };
+    if pooled.is_empty() {
+        row_side
+    } else {
+        merge_pooled(&row_side, select(pooled))
+    }
+}
+
 /// Unions the fused row-side survivor matrix with the pooled per-column
 /// survivors into one sparse matrix. A cell present on both sides comes
 /// from the same aggregated value, so duplicates collapse to the
@@ -1352,15 +1155,6 @@ fn merge_pooled(row_side: &SimMatrix, mut pooled: Vec<(usize, usize, f64)>) -> S
         }
     }
     builder.finish()
-}
-
-/// The dense form of [`PlanEngine::pair_matrix`].
-fn pair_matrix_dense(ctx: &MatchContext<'_>, result: &MatchResult) -> SimMatrix {
-    let mut matrix = SimMatrix::new(ctx.rows(), ctx.cols());
-    for c in &result.candidates {
-        matrix.set(c.source.index(), c.target.index(), c.similarity);
-    }
-    matrix
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //! one-stage `Matchers` plan that the engine executes with results
 //! identical to the legacy sequential path.
 
-use crate::combine::{CombinationStrategy, CombinedSim, Direction, Selection};
+use crate::combine::{Aggregation, CombinationStrategy, CombinedSim, Direction, Selection};
 use crate::error::{CoreError, Result};
 use crate::matchers::MatcherLibrary;
 use crate::process::MatchStrategy;
@@ -77,6 +77,11 @@ pub enum PlanErrorKind {
     /// A `Reuse` leaf with `max_hops < 2`: a chain needs at least two
     /// stored mappings (source→pivot→target) to compose anything.
     InvalidReuseHops,
+    /// A `Weighted` aggregation that cannot weigh its node's slices: a
+    /// weight count other than the slice count (`Matchers`: one per
+    /// matcher, `Par`: one per sub-plan, `Reuse`: one), a negative or
+    /// non-finite weight, or weights summing to zero or less.
+    InvalidWeights,
 }
 
 impl PlanErrorKind {
@@ -94,6 +99,7 @@ impl PlanErrorKind {
             PlanErrorKind::InvalidMinScore => "E_CIDX_MIN_SCORE",
             PlanErrorKind::ZeroCandidateCap => "E_CIDX_ZERO_CAP",
             PlanErrorKind::InvalidReuseHops => "E_REUSE_HOPS",
+            PlanErrorKind::InvalidWeights => "E_WEIGHTS",
         }
     }
 }
@@ -122,6 +128,10 @@ impl fmt::Display for PlanErrorKind {
             PlanErrorKind::InvalidReuseHops => {
                 f.write_str("`Reuse` leaf has max_hops < 2 (a chain needs source→pivot→target)")
             }
+            PlanErrorKind::InvalidWeights => f.write_str(
+                "`Weighted` aggregation needs one finite, non-negative weight per slice, \
+                 summing to more than 0",
+            ),
         }
     }
 }
@@ -564,8 +574,31 @@ impl MatchPlan {
             MatchPlan::Reuse { max_hops, .. } if *max_hops < 2 => {
                 Some(PlanErrorKind::InvalidReuseHops)
             }
+            _ if self.misweighted() => Some(PlanErrorKind::InvalidWeights),
             _ => None,
         }
+    }
+
+    /// Whether this node's `Weighted` aggregation cannot weigh its slices
+    /// (one per matcher, one per sub-plan, or the reuse slice): a
+    /// different weight count, a negative or non-finite weight, or
+    /// weights summing to zero or less.
+    fn misweighted(&self) -> bool {
+        let (combination, slices) = match self {
+            MatchPlan::Matchers {
+                matchers,
+                combination,
+            } => (combination, matchers.len()),
+            MatchPlan::Par { plans, combination } => (combination, plans.len()),
+            MatchPlan::Reuse { combination, .. } => (combination, 1),
+            _ => return false,
+        };
+        let Aggregation::Weighted(weights) = &combination.aggregation else {
+            return false;
+        };
+        weights.len() != slices
+            || weights.iter().any(|w| !w.is_finite() || *w < 0.0)
+            || weights.iter().sum::<f64>() <= 0.0
     }
 
     /// Checks the tree for degenerate shapes (empty `Matchers`/`Par`
@@ -942,5 +975,76 @@ mod tests {
         let filtered = MatchPlan::matchers(["Name"]).filtered(Direction::Both, Selection::max_n(1));
         assert!(filtered.label().starts_with("Filter(Matchers(Name)["));
         assert_eq!(filtered.stage_count(), 2);
+    }
+
+    /// A plan whose `Weighted` aggregation holds `weights` at every
+    /// aggregating node kind: a two-matcher leaf, a two-way `Par` and a
+    /// `Reuse` leaf — each node's slice count is 2, 2 and 1.
+    fn weighted_nodes(weights: &[f64]) -> [MatchPlan; 3] {
+        let weighted = CombinationStrategy {
+            aggregation: Aggregation::Weighted(weights.to_vec()),
+            ..CombinationStrategy::paper_default()
+        };
+        [
+            MatchPlan::matchers_with(["Name", "NamePath"], weighted.clone()),
+            MatchPlan::par(
+                [
+                    MatchPlan::matchers(["Name"]),
+                    MatchPlan::matchers(["Leaves"]),
+                ],
+                weighted.clone(),
+            ),
+            MatchPlan::Reuse {
+                kind: None,
+                compose: ComposeCombine::Average,
+                max_hops: 2,
+                combination: weighted,
+            },
+        ]
+    }
+
+    fn weight_defect(plan: &MatchPlan) -> Option<PlanErrorKind> {
+        plan.validate_shape().err().map(|e| e.kind())
+    }
+
+    #[test]
+    fn weighted_count_must_match_the_slice_count() {
+        let [leaf, par, reuse] = weighted_nodes(&[1.0]);
+        let err = leaf.validate_shape().unwrap_err();
+        assert_eq!(err.kind(), PlanErrorKind::InvalidWeights);
+        assert_eq!(err.code(), "E_WEIGHTS");
+        assert_eq!(err.path(), "Matchers");
+        assert_eq!(weight_defect(&par), Some(PlanErrorKind::InvalidWeights));
+        assert_eq!(weight_defect(&reuse), None);
+        let [leaf, par, reuse] = weighted_nodes(&[1.0, 2.0]);
+        assert_eq!(weight_defect(&leaf), None);
+        assert_eq!(weight_defect(&par), None);
+        assert_eq!(weight_defect(&reuse), Some(PlanErrorKind::InvalidWeights));
+    }
+
+    #[test]
+    fn weighted_rejects_negative_and_non_finite_weights() {
+        for weights in [[2.0, -1.0], [1.0, f64::NAN], [f64::INFINITY, 1.0]] {
+            for plan in &weighted_nodes(&weights)[..2] {
+                assert_eq!(
+                    weight_defect(plan),
+                    Some(PlanErrorKind::InvalidWeights),
+                    "{weights:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn weighted_rejects_weights_summing_to_zero() {
+        for plan in &weighted_nodes(&[0.0, 0.0])[..2] {
+            assert_eq!(weight_defect(plan), Some(PlanErrorKind::InvalidWeights));
+        }
+        let [_, _, reuse] = weighted_nodes(&[0.0]);
+        assert_eq!(weight_defect(&reuse), Some(PlanErrorKind::InvalidWeights));
+        // A zero weight beside a positive one is a valid weighting.
+        for plan in &weighted_nodes(&[0.0, 1.0])[..2] {
+            assert_eq!(weight_defect(plan), None);
+        }
     }
 }

@@ -575,3 +575,46 @@ fn malformed_requests_get_error_responses_not_session_death() {
     client.call(&Request::Shutdown).unwrap();
     handle.join().unwrap();
 }
+
+/// A flat plan whose `Weighted` aggregation does not fit its matchers
+/// (one weight for two matchers, or weights summing to zero) is rejected
+/// before execution with an `E_WEIGHTS` frame, and the session keeps
+/// serving on the same connection.
+#[test]
+fn malformed_weighted_plan_is_rejected_and_the_session_survives() {
+    use coma_core::{Aggregation, CombinationStrategy, MatchStrategy};
+    let state = ServerState::open(coma_repo::MemoryBackend::new(), 8).unwrap();
+    let (socket, handle) = spawn_server(state, "weights");
+    let mut client = connect(&socket);
+    for weights in [vec![1.0], vec![0.0, 0.0]] {
+        let strategy = MatchStrategy {
+            matchers: vec!["Name".to_string(), "NamePath".to_string()],
+            combination: CombinationStrategy {
+                aggregation: Aggregation::Weighted(weights.clone()),
+                ..CombinationStrategy::paper_default()
+            },
+        };
+        let response = client
+            .call(&Request::Match(MatchRequest {
+                tenant: "acme".to_string(),
+                source: SchemaRef::Inline(inline("x", 2, 2, "A")),
+                target: SchemaRef::Inline(inline("y", 2, 2, "B")),
+                plan: PlanSpec::Flat(strategy),
+                config: MatchConfig::default(),
+                store: false,
+            }))
+            .unwrap();
+        let Response::InvalidPlan(diagnostics) = response else {
+            panic!("{weights:?}: expected InvalidPlan, got {response:?}");
+        };
+        assert!(
+            diagnostics
+                .iter()
+                .any(|d| d.severity == "error" && d.code == "E_WEIGHTS"),
+            "{weights:?}: expected an E_WEIGHTS error diagnostic, got {diagnostics:?}"
+        );
+        assert_eq!(client.call(&Request::Ping).unwrap(), Response::Pong);
+    }
+    client.call(&Request::Shutdown).unwrap();
+    handle.join().unwrap();
+}

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo-specific lint gates that rustc/clippy do not express, run by the
-# CI lint job next to rustfmt and clippy. Three rules:
+# CI lint job next to rustfmt and clippy. Four rules:
 #
 # 1. No `.unwrap()` / `.expect(` in the server's session/drain paths
 #    (crates/server/src/server.rs and state.rs, non-test code). A panic
@@ -16,6 +16,13 @@
 #    Time around the window, allocate inside it — never both at once.
 #
 # 3. Every shell script under scripts/ parses (`bash -n`).
+#
+# 4. The engine's physical decisions live in one rule set. In
+#    crates/core/src, non-test code reads `cfg.sparse_density_cutoff`,
+#    `cfg.min_shard_rows` or `cfg.fuse_budget_bytes`, or calls
+#    `available_parallelism`, only in engine/physical.rs: the engine and
+#    the plan analyzer both ask those rules, so a copy of a rule cannot
+#    drift from the one the engine executes.
 #
 # Exits nonzero with one line per violation.
 set -u
@@ -85,6 +92,20 @@ for file in scripts/*.sh; do
         status=1
     fi
 done
+
+# --- rule 4: physical decisions only in engine/physical.rs --------------
+violations=$(find crates/core/src -name '*.rs' ! -path crates/core/src/engine/physical.rs -print \
+    | sort | xargs awk '
+        FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && /cfg\.(sparse_density_cutoff|min_shard_rows|fuse_budget_bytes)|available_parallelism/ {
+            printf "%s:%d: physical decision outside engine/physical.rs: %s\n", FILENAME, FNR, $0
+        }
+    ')
+if [ -n "$violations" ]; then
+    printf '%s\n' "$violations"
+    status=1
+fi
 
 if [ "$status" -ne 0 ]; then
     echo "lint.sh: violations found" >&2

@@ -327,3 +327,83 @@ fn flat_paper_default_through_a_shared_cache_stays_within_bound() {
         assert_eq!(cache.stats().token_tables, 1, "{label}: one token table");
     }
 }
+
+/// Every materialized stage of a fresh execution (each `Matchers` leaf
+/// and every `Filter`/`TopK`/`CandidateIndex` stage) reports exactly the
+/// shard count the analyzer predicted for it — serial, forced to four
+/// shards, and automatically sized on this machine. The plans cover a
+/// leaf that is not row-shardable, a prune that cannot fuse over it, a
+/// two-matcher leaf sharing the workers, a masked `TopK` and both a
+/// leading and a masked `CandidateIndex`, plus the fused canonical plans.
+#[test]
+fn shard_predictions_equal_executed_shards() {
+    let _window = WINDOW.lock().unwrap();
+    let spec = WorkloadSpec::new(WorkloadShape::Deep, 400, 42);
+    let (source, target) = generate_task(&spec);
+    let coma = Coma::new();
+    let source_paths = PathSet::new(&source).unwrap();
+    let target_paths = PathSet::new(&target).unwrap();
+    let ctx = MatchContext::new(&source, &target, &source_paths, &target_paths, coma.aux())
+        .with_repository(coma.repository());
+    let stats = TaskStats::gather(&ctx);
+    assert!(
+        stats.rows > 2 * 192,
+        "automatic sizing must be able to shard"
+    );
+    let mut capped = CombinationStrategy::paper_default();
+    capped.selection = Selection::max_n(5);
+    let plans = [
+        ("children", MatchPlan::matchers(["Children"])),
+        (
+            "children_topk",
+            MatchPlan::matchers_with(["Children"], capped)
+                .top_k(5, TopKPer::Both)
+                .unwrap(),
+        ),
+        ("name_namepath", MatchPlan::matchers(["Name", "NamePath"])),
+        ("candidate_index", candidate_index_plan(5)),
+        (
+            "masked_candidate_index",
+            MatchPlan::seq(
+                liberal_name_stage().top_k(5, TopKPer::Both).unwrap(),
+                MatchPlan::candidate_index(1, 0.0).unwrap(),
+            ),
+        ),
+        ("topk_pruned", topk_pruned_plan(5)),
+        ("fused_filter", fused_filter_plan()),
+    ];
+    let configs = [
+        ("serial", EngineConfig::default().with_parallel(false)),
+        ("sharded", EngineConfig::default().with_shards(4)),
+        ("default", EngineConfig::default()),
+    ];
+    for (cfg_name, cfg) in &configs {
+        for (plan_name, plan) in &plans {
+            let which = format!("{}/{cfg_name}/{plan_name}", spec.label());
+            let analysis = PlanAnalyzer::new(coma.library(), cfg.clone()).analyze(plan, &stats);
+            let outcome = PlanEngine::with_config(coma.library(), cfg.clone())
+                .execute(&ctx, plan)
+                .unwrap();
+            for stage in &outcome.stages {
+                let predicted: Vec<usize> = analysis
+                    .nodes
+                    .iter()
+                    .filter(|f| f.label == stage.label && f.materialized != Tri::No)
+                    .map(|f| f.shards_estimate)
+                    .collect();
+                assert!(
+                    !predicted.is_empty(),
+                    "{which}: no facts for `{}`",
+                    stage.label
+                );
+                for shards in predicted {
+                    assert_eq!(
+                        shards, stage.shards,
+                        "{which}: stage `{}` predicted {shards} shards, executed {}",
+                        stage.label, stage.shards
+                    );
+                }
+            }
+        }
+    }
+}
